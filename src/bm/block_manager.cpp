@@ -1,6 +1,7 @@
 #include "bm/block_manager.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "crypto/batch_verify.hpp"
 
@@ -151,7 +152,7 @@ BlockManager::ApplyResult BlockManager::apply_verified(
     // inside apply().
     if (!sig_ok.empty() && sig_ok[t] == 0) continue;
     if (utxos_.apply(tx, /*verify_sigs=*/false) == chain::TxCheck::kOk) {
-      txs_.insert(id);
+      add_tx(id);
       ++res.applied;
       if (applied_ids != nullptr) applied_ids->push_back(id);
     }
@@ -216,13 +217,30 @@ std::optional<chain::Journal::ReplayStats> BlockManager::open_journal(
   chain::Journal::ReplayStats stats;
   auto journal = chain::Journal::open(
       path, [this](const chain::Block& block) { merge_block(block); },
-      &stats, epoch_sink);
+      &stats, [this, &epoch_sink](const chain::EpochRecord& record) {
+        note_epoch_record(record);
+        if (epoch_sink) epoch_sink(record);
+      });
   if (!journal) return std::nullopt;
   journal_ = std::move(*journal);
   return stats;
 }
 
+void BlockManager::note_epoch_record(const chain::EpochRecord& record) {
+  // Same filter as the node's own recovery of epoch records.
+  if (record.epoch == 0 || record.members.empty()) return;
+  note_epoch(record.start_index, record.epoch);
+}
+
+std::optional<std::uint32_t> BlockManager::epoch_of(InstanceId k) const {
+  for (auto it = epoch_spans_.rbegin(); it != epoch_spans_.rend(); ++it) {
+    if (it->first <= k) return it->second;
+  }
+  return std::nullopt;
+}
+
 bool BlockManager::journal_epoch(const chain::EpochRecord& record) {
+  note_epoch_record(record);
   if (!journaling()) return true;  // in-memory deployments have no WAL
   return journal_->append_epoch(record);
 }
@@ -248,8 +266,54 @@ sync::Snapshot BlockManager::snapshot(InstanceId upto) const {
   return s;
 }
 
+void BlockManager::track_changes() {
+  utxos_.track_changes();
+  new_txs_.clear();
+  change_base_.reset();
+}
+
+void BlockManager::reset_changes(InstanceId base) {
+  (void)utxos_.take_touched();
+  new_txs_.clear();
+  change_base_ = base;
+}
+
+void BlockManager::add_tx(const chain::TxId& id) {
+  txs_.insert(id);
+  if (utxos_.tracking_changes()) new_txs_.push_back(id);
+}
+
+sync::SnapshotDelta BlockManager::take_delta(InstanceId upto) {
+  sync::SnapshotDelta d;
+  d.upto = upto;
+  d.mint_counter = utxos_.mint_counter();
+  d.deposit = deposit_;
+  std::vector<chain::OutPoint> touched = utxos_.take_touched();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  d.utxos.reserve(touched.size());
+  for (const chain::OutPoint& op : touched) {
+    d.utxos.emplace_back(op, utxos_.get(op));
+    // The archive never forgets, so only a value can be new here.
+    if (const auto value = utxos_.value_of(op)) {
+      d.ever_values.emplace_back(op, *value);
+    }
+  }
+  d.known_txs = std::exchange(new_txs_, {});
+  std::sort(d.known_txs.begin(), d.known_txs.end());
+  d.known_txs.erase(std::unique(d.known_txs.begin(), d.known_txs.end()),
+                    d.known_txs.end());
+  d.inputs_deposit.assign(inputs_deposit_.begin(), inputs_deposit_.end());
+  d.punished.assign(punished_.begin(), punished_.end());
+  std::sort(d.punished.begin(), d.punished.end());
+  change_base_ = upto;
+  return d;
+}
+
 void BlockManager::restore(const sync::Snapshot& snap) {
   utxos_.restore(snap.utxos, snap.ever_values, snap.mint_counter);
+  new_txs_.clear();
+  change_base_ = snap.upto;
   deposit_ = snap.deposit;
   txs_.clear();
   txs_.insert(snap.known_txs.begin(), snap.known_txs.end());
@@ -279,7 +343,7 @@ void BlockManager::commit_tx_merge(const chain::Transaction& tx) {
     }
   }
   utxos_.insert_outputs(tx);
-  txs_.insert(tx.id());
+  add_tx(tx.id());
   ++stats_.merged_txs;
 }
 

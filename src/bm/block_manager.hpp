@@ -170,8 +170,40 @@ class BlockManager {
   /// set, known txs, deposit accounting, punished set). The block store
   /// and any attached journal are untouched: blocks below the watermark
   /// are represented by the snapshot, the post-watermark tail replays
-  /// on top (re-application dedups by txid).
+  /// on top (re-application dedups by txid). Resets the change log to
+  /// the snapshot's watermark.
   void restore(const sync::Snapshot& snap);
+
+  /// Starts the change log for incremental checkpoints: the UTXO set
+  /// logs every outpoint it inserts or erases and this manager logs
+  /// every transaction id it newly commits, so take_delta() costs
+  /// O(churn) instead of O(ledger). The log is not ledger state:
+  /// snapshot(), state_digest() and every fingerprint ignore it.
+  void track_changes();
+  [[nodiscard]] bool tracking_changes() const {
+    return utxos_.tracking_changes();
+  }
+  /// The watermark the change log is relative to: that of the last
+  /// restore(), take_delta() or reset_changes(); nullopt before any.
+  [[nodiscard]] std::optional<InstanceId> change_base() const {
+    return change_base_;
+  }
+  /// Empties the change log, now relative to the state at `base`.
+  void reset_changes(InstanceId base);
+  /// Sorted current values of everything the log touched (spent
+  /// outpoints as tombstones), plus the small sections whole, labelled
+  /// `upto`; then resets the log with `upto` as its new base.
+  [[nodiscard]] sync::SnapshotDelta take_delta(InstanceId upto);
+
+  /// Membership spans (start_index, epoch) in the order they were
+  /// learned. epoch_of() applies LiveNode's rule over them, so a
+  /// checkpoint cut on the commit thread can label its watermark
+  /// without the loop thread's state. journal_epoch() and journal
+  /// replay record every boundary; note_epoch() seeds the first span.
+  void note_epoch(InstanceId start_index, std::uint32_t epoch) {
+    epoch_spans_.emplace_back(start_index, epoch);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> epoch_of(InstanceId k) const;
   /// Digest of the ledger state (position-independent; two replicas
   /// with identical ledgers compare equal regardless of chain height).
   [[nodiscard]] crypto::Hash32 state_digest() const {
@@ -185,6 +217,9 @@ class BlockManager {
       const chain::Block& block);
   void commit_tx_merge(const chain::Transaction& tx);
   void refund_inputs();
+  /// Records a newly committed transaction id (and logs it).
+  void add_tx(const chain::TxId& id);
+  void note_epoch_record(const chain::EpochRecord& record);
 
   std::optional<chain::Journal> journal_;
   chain::UtxoSet utxos_;
@@ -195,6 +230,9 @@ class BlockManager {
   std::unordered_set<chain::Address, chain::AddressHasher> punished_;
   std::unordered_set<chain::TxId, crypto::Hash32Hasher> txs_;
   std::vector<InstanceId> commit_order_;
+  std::vector<chain::TxId> new_txs_;  ///< change log: committed ids
+  std::optional<InstanceId> change_base_;
+  std::vector<std::pair<InstanceId, std::uint32_t>> epoch_spans_;
   MergeStats stats_;
   const common::Clock* obs_clock_ = nullptr;
   obs::Histogram* verify_hist_ = nullptr;

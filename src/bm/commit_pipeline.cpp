@@ -194,6 +194,11 @@ void CommitPipeline::committer_loop() {
           blocks_committed_.fetch_add(1, std::memory_order_relaxed);
         }
         flush.instances.push_back(std::move(ci));
+        const InstanceId next = job->index + 1;
+        if (config_.watermark_interval > 0 && config_.on_watermark &&
+            next % config_.watermark_interval == 0) {
+          config_.on_watermark(next);
+        }
       }
       t_applied = now_ns();
       (void)bm_.journal_sync();

@@ -28,9 +28,11 @@
 //   verifier thread — decode + signature verify only; touches no
 //     ledger state, holds only mu_ (never across the crypto).
 //   committer thread — takes ledger_mu (guarding the BlockManager and
-//     its journal) for the apply+journal stage, releases it, then runs
-//     the flush hook with NO pipeline or ledger lock held. The hook
-//     may take the caller's own locks (mempool, decision log).
+//     its journal) for the apply+journal stage, runs the watermark
+//     hook inside it at each checkpoint grid point, releases it, then
+//     runs the flush hook with NO pipeline or ledger lock held. The
+//     flush hook may take the caller's own locks (mempool, decision
+//     log).
 // Lock order: caller locks > ledger_mu > mu_; mu_ is a leaf taken
 // around queue state only, never across apply, I/O, or the hook.
 //
@@ -76,6 +78,14 @@ class CommitPipeline {
     std::size_t workers = 1;
     /// Stage-timing clock (injectable seam). Null disables timing.
     const common::Clock* clock = nullptr;
+    /// Checkpoint grid: with an interval, `on_watermark(g)` runs on the
+    /// committer under ledger_mu for every grid point g > 0 the floor
+    /// crosses — after instance g-1 applied and before g, so the
+    /// ledger it sees is exactly the instances below g, on every node
+    /// and under any decision order. It must not block: capture, don't
+    /// serialize.
+    std::uint64_t watermark_interval = 0;
+    std::function<void(InstanceId)> on_watermark;
   };
 
   using StageHists = CommitStageHists;

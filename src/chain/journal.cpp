@@ -34,26 +34,6 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-// The write-ahead contract covers file CREATION and RENAME too: data
-// fdatasync'd into a file whose directory entry was never flushed is
-// gone with the file after power loss. Called after creating the
-// journal and after publishing a compaction.
-void sync_parent_dir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-#endif
-}
-
 void put_u32(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v & 0xff);
   p[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
@@ -101,6 +81,43 @@ std::uint32_t crc32(BytesView data) {
     c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
+}
+
+// The write-ahead contract covers file CREATION and RENAME too: data
+// fdatasync'd into a file whose directory entry was never flushed is
+// gone with the file after power loss. Called after creating the
+// journal, after publishing a compaction, and after a checkpoint
+// image's rename.
+void sync_parent_dir(const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  const auto slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY);
+  if (fd >= 0) {
+    (void)::fsync(fd);
+    ::close(fd);
+  }
+#else
+  (void)path;
+#endif
+}
+
+bool sync_data(std::FILE* file) {
+  if (std::fflush(file) != 0) return false;
+#if defined(__unix__) || defined(__APPLE__)
+  // A power-loss-grade guarantee needs the kernel to push the pages to
+  // the device, not just our stdio buffer to the kernel. fdatasync
+  // skips the inode-metadata flush fsync would add — payloads and
+  // lengths are all a reader needs back.
+#if defined(__APPLE__)
+  if (::fsync(::fileno(file)) != 0) return false;
+#else
+  if (::fdatasync(::fileno(file)) != 0) return false;
+#endif
+#endif
+  return true;
 }
 
 Journal::Journal(Journal&& o) noexcept
@@ -303,21 +320,7 @@ std::optional<std::size_t> Journal::compact(InstanceId keep_from) {
   return dropped;
 }
 
-bool Journal::sync() {
-  if (file_ == nullptr || std::fflush(file_) != 0) return false;
-#if defined(__unix__) || defined(__APPLE__)
-  // A power-loss-grade write-ahead guarantee needs the kernel to push
-  // the pages to the device, not just our stdio buffer to the kernel.
-  // fdatasync skips the inode-metadata flush fsync would add — record
-  // payloads and lengths are all the replay path reads back.
-#if defined(__APPLE__)
-  if (::fsync(::fileno(file_)) != 0) return false;
-#else
-  if (::fdatasync(::fileno(file_)) != 0) return false;
-#endif
-#endif
-  return true;
-}
+bool Journal::sync() { return file_ != nullptr && sync_data(file_); }
 
 void Journal::close() {
   if (file_ != nullptr) {

@@ -26,6 +26,16 @@ namespace zlb::chain {
 /// CRC-32 (IEEE 802.3, reflected), the classic WAL checksum.
 [[nodiscard]] std::uint32_t crc32(BytesView data);
 
+/// Durability barrier for a file written through stdio: flushes the
+/// user-space buffer, then fdatasync (fsync where that is missing).
+/// False on failure.
+bool sync_data(std::FILE* file);
+
+/// fsyncs the directory holding `path`, making a file's creation or
+/// rename durable (data fdatasync'd into a file whose directory entry
+/// never reached the device is lost with the entry on power loss).
+void sync_parent_dir(const std::string& path);
+
 /// Epoch-boundary journal record: epoch `epoch` governs every regular
 /// instance from `start_index` on, decided by committee `members`;
 /// `excluded` is the CUMULATIVE exclusion list as of this epoch, so a

@@ -27,6 +27,7 @@ OutPoint UtxoSet::mint(const Address& to, Amount value) {
   op.index = 0;
   table_[op] = TxOut{value, to};
   ever_[op] = value;
+  note(op);
   return op;
 }
 
@@ -68,7 +69,10 @@ TxCheck UtxoSet::check(const Transaction& tx, bool verify_sigs) const {
 TxCheck UtxoSet::apply(const Transaction& tx, bool verify_sigs) {
   const TxCheck result = check(tx, verify_sigs);
   if (result != TxCheck::kOk) return result;
-  for (const auto& in : tx.inputs) table_.erase(in.prev);
+  for (const auto& in : tx.inputs) {
+    table_.erase(in.prev);
+    note(in.prev);
+  }
   insert_outputs(tx);
   return TxCheck::kOk;
 }
@@ -76,8 +80,10 @@ TxCheck UtxoSet::apply(const Transaction& tx, bool verify_sigs) {
 void UtxoSet::insert_outputs(const Transaction& tx) {
   const TxId txid = tx.id();
   for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-    table_[OutPoint{txid, i}] = tx.outputs[i];
-    ever_[OutPoint{txid, i}] = tx.outputs[i].value;
+    const OutPoint op{txid, i};
+    table_[op] = tx.outputs[i];
+    ever_[op] = tx.outputs[i].value;
+    note(op);
   }
 }
 
@@ -111,6 +117,7 @@ void UtxoSet::restore(const std::vector<std::pair<OutPoint, TxOut>>& live,
   for (const auto& [op, out] : live) table_.emplace(op, out);
   for (const auto& [op, value] : ever) ever_.emplace(op, value);
   mint_counter_ = mint_counter;
+  touched_.clear();
 }
 
 Amount UtxoSet::balance(const Address& a) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 
 #include "chain/tx.hpp"
 
@@ -45,7 +46,10 @@ class UtxoSet {
   TxCheck apply(const Transaction& tx, bool verify_sigs = true);
 
   /// Consumes one outpoint unconditionally (merge path, Alg. 2 line 23).
-  void consume(const OutPoint& op) { table_.erase(op); }
+  void consume(const OutPoint& op) {
+    table_.erase(op);
+    note(op);
+  }
   /// Inserts outputs of `tx` unconditionally (merge path).
   void insert_outputs(const Transaction& tx);
 
@@ -68,10 +72,26 @@ class UtxoSet {
 
   /// Replaces the whole set with snapshot contents (the inverse of
   /// entries()/ever_entries()). The pubkey memo is kept — it caches
-  /// pure decompression results, valid across states.
+  /// pure decompression results, valid across states. Clears the
+  /// change log: the restored contents are the new base.
   void restore(const std::vector<std::pair<OutPoint, TxOut>>& live,
                const std::vector<std::pair<OutPoint, Amount>>& ever,
                std::uint64_t mint_counter);
+
+  /// Starts the change log for incremental checkpoints: from now on,
+  /// every outpoint whose live entry is inserted or erased, or whose
+  /// archive value is inserted, is appended (unsorted, possibly
+  /// repeated). Not state: it stays out of every export, digest and
+  /// fingerprint.
+  void track_changes() {
+    tracking_ = true;
+    touched_.clear();
+  }
+  [[nodiscard]] bool tracking_changes() const { return tracking_; }
+  /// Hands over the log and starts a fresh one.
+  [[nodiscard]] std::vector<OutPoint> take_touched() {
+    return std::exchange(touched_, {});
+  }
 
   /// Decompressed-pubkey memo shared by every signature check against
   /// this set: an account's key is decompressed once, not per input per
@@ -86,6 +106,12 @@ class UtxoSet {
   std::unordered_map<OutPoint, Amount, OutPointHasher> ever_;
   std::uint64_t mint_counter_ = 0;
   mutable crypto::PubkeyCache pk_cache_;
+  bool tracking_ = false;
+  std::vector<OutPoint> touched_;
+
+  void note(const OutPoint& op) {
+    if (tracking_) touched_.push_back(op);
+  }
 };
 
 }  // namespace zlb::chain

@@ -92,6 +92,13 @@ Bytes Reader::raw(std::size_t n) {
   return out;
 }
 
+BytesView Reader::view(std::size_t n) {
+  need(n);
+  const BytesView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 Bytes Reader::bytes() {
   const std::uint64_t n = varint();
   if (n > remaining()) throw DecodeError("Reader: bytes length exceeds data");

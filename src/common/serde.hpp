@@ -64,6 +64,8 @@ class Reader {
   [[nodiscard]] std::uint64_t length_prefix(std::size_t min_entry_bytes,
                                             std::uint64_t max_count);
   [[nodiscard]] Bytes raw(std::size_t n);
+  /// The next `n` bytes, borrowed from the underlying buffer (no copy).
+  [[nodiscard]] BytesView view(std::size_t n);
   [[nodiscard]] Bytes bytes();
   [[nodiscard]] std::string string();
   [[nodiscard]] bool boolean();

@@ -88,6 +88,16 @@ LiveNode::LiveNode(LiveNodeConfig config)
     if (ckpt_cfg.interval > 0 || !ckpt_cfg.path.empty()) {
       ckpt_ = std::make_unique<sync::CheckpointManager>(ckpt_cfg);
     }
+    {
+      const common::MutexLock ledger(ledger_mutex_);
+      // Periodic checkpoints capture O(churn) deltas: the change log
+      // must see every mutation from the startup restore on.
+      if (ckpt_cfg.interval > 0) bm_.track_changes();
+      // The ledger mirrors epoch_spans_ (its first span here, the rest
+      // from the epoch records it journals), so the committer thread
+      // can label a checkpoint without the loop thread's state.
+      if (!config_.standby) bm_.note_epoch(0, 0);
+    }
     if (config_.snapshot_catchup) {
       fetcher_ = std::make_unique<sync::SnapshotFetcher>(
           config_.fetcher, [this](ReplicaId to, const sync::ChunkRequest& r) {
@@ -105,6 +115,21 @@ LiveNode::LiveNode(LiveNodeConfig config)
     bm::CommitPipeline::Config pc;
     pc.workers = config_.commit_workers;
     pc.clock = &obs_clock();
+    if (ckpt_ != nullptr) {
+      // Checkpoints leave the loop thread: the committer captures at
+      // each grid watermark, the manager's writer builds the image.
+      pc.watermark_interval = ckpt_->config().interval;
+      pc.on_watermark = [this](InstanceId upto) {
+        // Runs inside the committer's ledger critical section.
+        ledger_mutex_.assert_held();
+        capture_checkpoint(upto);
+      };
+      ckpt_->start_writer(
+          [this](InstanceId keep_from) {
+            return compact_journal_below(keep_from);
+          },
+          checkpoint_seconds_, &obs_clock());
+    }
     bm::CommitPipeline::StageHists hists;
     hists.decode = &metrics_.histogram(
         "zlb_pipeline_decode_seconds",
@@ -289,7 +314,8 @@ void LiveNode::register_metrics() {
   }
   checkpoint_seconds_ = &metrics_.histogram(
       "zlb_checkpoint_export_seconds",
-      "Ledger snapshot + persist + journal compaction per checkpoint", 1e-9);
+      "Checkpoint image build + persist per checkpoint (writer thread)",
+      1e-9);
 
   // Commit pipeline: the contiguous committed floor, the decided
   // instances inside the pipeline, and those parked behind a decision
@@ -541,27 +567,19 @@ void LiveNode::on_pipeline_flush(const bm::CommitPipeline::FlushBatch& flush) {
   }
 }
 
-bool LiveNode::maybe_checkpoint() {
-  if (ckpt_ == nullptr) return false;
-  // Checkpoint on the contiguous COMMITTED floor (never on the decided
-  // floor, which the commit pipeline may not have applied yet, and
-  // never on an out-of-order decision ahead of a gap): the snapshot
-  // plus the journal tail must cover the whole chain. Reading the
-  // pipeline floor under ledger_mutex_ makes it consistent with the
-  // state being snapshot. The epoch label belongs to the watermark the
-  // manager actually snaps to — an interval straddling an epoch
-  // boundary would otherwise mislabel the image, and every peer's
-  // manifest gate would reject it as a relabelling attack.
+void LiveNode::capture_checkpoint(InstanceId upto) {
+  // Today's label rule — epoch_of(upto), falling back to the current
+  // epoch — over the spans bm_ learned from the epoch records it
+  // journals: decisions_mutex_ ranks above ledger_mutex_, so the loop
+  // thread's own span table is out of reach here.
+  (void)ckpt_->capture(bm_, upto,
+                       bm_.epoch_of(upto).value_or(epoch_atomic_.load()));
+}
+
+std::optional<std::size_t> LiveNode::compact_journal_below(
+    InstanceId keep_from) {
   const common::MutexLock ledger(ledger_mutex_);
-  const InstanceId floor =
-      pipeline_ ? std::min<InstanceId>(pipeline_->committed_floor(),
-                                       decision_floor())
-                : decision_floor();
-  const std::int64_t t0 = obs_clock().nanos();
-  const bool taken = ckpt_->on_decided(
-      bm_, floor, [this](InstanceId w) { return epoch_of(w).value_or(epoch_); });
-  if (taken) checkpoint_seconds_->observe(obs_clock().nanos() - t0);
-  return taken;
+  return bm_.compact_journal(keep_from);
 }
 
 LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
@@ -744,9 +762,6 @@ void LiveNode::on_decided(InstanceId k) {
         }
       }
       proposed_txs_.erase(proposed);
-    }
-    if (maybe_checkpoint()) {
-      tracer_->mark(engine->epoch(), k, obs::Phase::kCheckpoint);
     }
   } else {
     // No commit pipeline: the span ends at the decision. (In payment
@@ -1816,10 +1831,6 @@ void LiveNode::resync_tick() {
     decision_log_.erase(decision_log_.begin(),
                         decision_log_.lower_bound(pruned_floor_));
   }
-  // The commit floor advances asynchronously (the pipeline's committer
-  // thread): re-check the checkpoint trigger here so a flush that
-  // crossed the interval between decisions still snapshots promptly.
-  if (config_.real_blocks) (void)maybe_checkpoint();
   // Distributed termination for lingering nodes without an external
   // coordinator (standalone daemons): wind down once we decided
   // everything AND every peer reported it is done too — until then a
@@ -1885,33 +1896,43 @@ void LiveNode::handle_resync_status(ReplicaId from, std::uint32_t peer_epoch,
     // the pruned region can only be saved by state transfer. If the
     // standing checkpoint does not reach past the pruned region, cut a
     // fresh one at our floor (covers everything the peer is missing).
+    const auto image = ckpt_->image();
+    const bool have_image = image != nullptr;
+    const InstanceId watermark = have_image ? image->upto : 0;
     const bool wire_gone = peer_floor < pruned_floor_;
-    const bool deep_lag = ckpt_->latest() != nullptr &&
-                          peer_floor + deep <= ckpt_->watermark();
+    const bool deep_lag = have_image && peer_floor + deep <= watermark;
     const bool stuck_shallow =
-        stalled && ckpt_->latest() != nullptr &&
-        peer_floor + config_.fetcher.min_lag <= ckpt_->watermark();
+        stalled && have_image &&
+        peer_floor + config_.fetcher.min_lag <= watermark;
     const bool stuck_pruned =
         stalled && wire_gone &&
         peer_floor + config_.fetcher.min_lag <= my_floor;
     if (deep_lag || stuck_shallow || stuck_pruned) {
       constexpr int kOfferCooldownTicks = 8;
       if (resync_ticks_ - ps.offer_tick >= kOfferCooldownTicks) {
-        if (stuck_pruned && ckpt_->watermark() < pruned_floor_) {
-          // Snapshot at the COMMITTED floor, not the decided one: the
+        const bool cut = stuck_pruned && watermark < pruned_floor_;
+        if (cut) {
+          // Capture at the COMMITTED floor, not the decided one: the
           // pipeline may still be applying decided instances, and a
           // checkpoint labeled past the applied state would ship a
-          // watermark its own image does not cover.
+          // watermark its own image does not cover. Read under the
+          // ledger lock, the floor matches the state captured. Skipped
+          // when not ahead of the newest queued image.
+          const common::MutexLock ledger(ledger_mutex_);
           const InstanceId commit_floor =
               pipeline_ ? std::min<InstanceId>(pipeline_->committed_floor(),
                                                my_floor)
                         : my_floor;
-          const common::MutexLock ledger(ledger_mutex_);
-          (void)ckpt_->take(bm_, commit_floor,
-                            epoch_of(commit_floor).value_or(epoch_));
+          (void)ckpt_->capture(bm_, commit_floor,
+                               epoch_of(commit_floor).value_or(epoch_));
         }
-        ps.offer_tick = resync_ticks_;
-        send_manifest(from);
+        // The offer waits until the cut is published (a later status
+        // report from the same peer retries); the cooldown starts with
+        // the offer.
+        if (!cut || !ckpt_->pending()) {
+          ps.offer_tick = resync_ticks_;
+          send_manifest(from);
+        }
       }
       // No return: a stalled peer still gets the (cooldown-bounded)
       // wire replay below. A peer that cannot consume manifests (no
@@ -1976,7 +1997,7 @@ void LiveNode::handle_resync_status(ReplicaId from, std::uint32_t peer_epoch,
 }
 
 void LiveNode::send_manifest(ReplicaId to) {
-  const sync::CheckpointImage* img = ckpt_->latest();
+  const std::shared_ptr<const sync::CheckpointImage> img = ckpt_->image();
   if (img == nullptr) return;
   sync::SnapshotManifest m;
   m.server = config_.me;
@@ -1996,7 +2017,7 @@ void LiveNode::send_manifest(ReplicaId to) {
 
 void LiveNode::serve_chunks(ReplicaId to, const sync::ChunkRequest& req) {
   if (ckpt_ == nullptr) return;
-  const sync::CheckpointImage* img = ckpt_->latest();
+  const std::shared_ptr<const sync::CheckpointImage> img = ckpt_->image();
   if (img == nullptr || img->upto != req.upto) return;
   // Rate limit per peer per resync tick: chunk frames are queued into
   // the (unbounded while up) link send buffer, so without a budget a
@@ -2311,8 +2332,9 @@ void LiveNode::run(Duration deadline) {
     // run() returns. Parked out-of-order decisions beyond a gap stay
     // parked — committing them would break canonical order.
     pipeline_->drain();
-    (void)maybe_checkpoint();
   }
+  // Likewise every captured checkpoint is durable and published.
+  if (ckpt_ != nullptr) ckpt_->drain();
 }
 
 std::vector<LiveDecision> LiveNode::decisions() const {

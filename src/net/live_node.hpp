@@ -172,17 +172,24 @@ struct LiveDecision {
 //   2. The commit pipeline's stage threads (payment mode; see
 //      bm::CommitPipeline): a verifier that decodes + batch-verifies
 //      decided payloads with NO ledger access, and a committer that
-//      applies+journals them under ledger_mutex_ and then runs the
-//      flush hook (on_pipeline_flush) with no lock held.
-//   3. Harness/observer threads (LiveCluster, tests, benches): may only
+//      applies+journals them under ledger_mutex_ — capturing the
+//      checkpoint delta at each grid watermark inside that critical
+//      section (capture_checkpoint) — and then runs the flush hook
+//      (on_pipeline_flush) with no lock held.
+//   3. The checkpoint writer (payment mode; see sync::CheckpointManager):
+//      builds, persists and publishes each captured image with no node
+//      lock held, then compacts the journal under ledger_mutex_
+//      (compact_journal_below). Readers hold a reference-counted image.
+//   4. Harness/observer threads (LiveCluster, tests, benches): may only
 //      call stop() (atomic), the *_atomic accessors, and the accessors
 //      annotated EXCLUDES on a mutex, which snapshot under it.
 //
 // Two locks, strictly ordered (outermost first):
 //
-//   decisions_mutex_  >  ledger_mutex_  >  pipeline internals
+//   decisions_mutex_  >  ledger_mutex_  >  leaf locks
 //                                          (CommitPipeline::mu_,
-//                                           ThreadPool::mu_ + done_mu)
+//                                           ThreadPool::mu_ + done_mu,
+//                                           CheckpointManager::mu_)
 //
 // decisions_mutex_ guards the loop/observer surface: the decision log,
 // the mempool, the stats blocks and the committee snapshot. It is
@@ -190,9 +197,11 @@ struct LiveDecision {
 // journal I/O — those are the pipeline's job.
 //
 // ledger_mutex_ guards bm_: UTXO state, known-tx set, block store AND
-// the journal. The committer thread takes it per flush; loop-thread
-// reads (knows_tx, digests, snapshots, journal_epoch) take it too,
-// nested inside decisions_mutex_ where both are needed. A pool task
+// the journal. The committer thread takes it per flush; the checkpoint
+// writer per compaction; loop-thread reads (knows_tx, digests,
+// on-demand checkpoint captures, journal_epoch) take it too, nested
+// inside decisions_mutex_ where both are needed. It is never held
+// across a checkpoint build: a capture under it costs O(churn). A pool task
 // must NEVER touch a LiveNode (nothing may capture `this` into
 // parallel_for), and nothing may call CommitPipeline::drain() while
 // holding a lock the flush hook takes (decisions_mutex_) — the
@@ -365,9 +374,15 @@ class LiveNode {
   /// internally-locked tracer, atomic counters).
   void on_pipeline_flush(const bm::CommitPipeline::FlushBatch& flush)
       EXCLUDES(decisions_mutex_, ledger_mutex_);
-  /// Cuts a checkpoint at the pipeline's contiguous committed floor if
-  /// the interval elapsed; returns whether one was taken. Loop thread.
-  bool maybe_checkpoint() EXCLUDES(decisions_mutex_, ledger_mutex_);
+  /// Checkpoint capture at grid watermark `upto`. Runs on the
+  /// PIPELINE'S COMMITTER thread inside the flush's ledger critical
+  /// section, after instance upto-1 applied: O(churn), the writer
+  /// thread builds the image.
+  void capture_checkpoint(InstanceId upto) REQUIRES(ledger_mutex_);
+  /// Journal compaction for the checkpoint writer (its thread; takes
+  /// ledger_mutex_, which guards the journal).
+  std::optional<std::size_t> compact_journal_below(InstanceId keep_from)
+      EXCLUDES(ledger_mutex_);
   /// Confirmation phase (§4.1.1 ②, live): assemble the per-slot AUX
   /// certificates of a just-decided instance (from the PofStore's
   /// first-vote log, BEFORE it is pruned), sign the decision summary

@@ -132,30 +132,47 @@ void Registry::gauge_fn(const std::string& name, const std::string& help,
 }
 
 std::vector<Sample> Registry::samples() const {
+  // Pull callbacks run AFTER the registry lock is released: they take
+  // their owners' locks (a node's mempool count takes its decisions
+  // lock), and owners register metrics while holding those same locks
+  // — calling back under mu_ would close a lock-order cycle.
   std::vector<Sample> out;
-  MutexLock lock(mu_);
-  out.reserve(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    Sample s;
-    s.kind = e.kind;
-    s.name = e.name;
-    s.help = e.help;
-    s.labels = e.labels;
-    s.scale = e.scale;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        s.counter_value = e.counter ? e.counter->value() : 0;
-        if (e.counter_cb) s.counter_value += e.counter_cb();
-        break;
-      case MetricKind::kGauge:
-        s.gauge_value = e.gauge_cb ? e.gauge_cb()
-                                   : (e.gauge ? e.gauge->value() : 0);
-        break;
-      case MetricKind::kHistogram:
-        if (e.histogram) s.hist = e.histogram->snapshot();
-        break;
+  std::vector<std::function<std::uint64_t()>> counter_cbs;
+  std::vector<std::function<std::int64_t()>> gauge_cbs;
+  {
+    MutexLock lock(mu_);
+    out.reserve(entries_.size());
+    counter_cbs.resize(entries_.size());
+    gauge_cbs.resize(entries_.size());
+    for (const auto& [key, e] : entries_) {
+      Sample s;
+      s.kind = e.kind;
+      s.name = e.name;
+      s.help = e.help;
+      s.labels = e.labels;
+      s.scale = e.scale;
+      switch (e.kind) {
+        case MetricKind::kCounter:
+          s.counter_value = e.counter ? e.counter->value() : 0;
+          counter_cbs[out.size()] = e.counter_cb;
+          break;
+        case MetricKind::kGauge:
+          if (e.gauge_cb) {
+            gauge_cbs[out.size()] = e.gauge_cb;
+          } else {
+            s.gauge_value = e.gauge ? e.gauge->value() : 0;
+          }
+          break;
+        case MetricKind::kHistogram:
+          if (e.histogram) s.hist = e.histogram->snapshot();
+          break;
+      }
+      out.push_back(std::move(s));
     }
-    out.push_back(std::move(s));
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (counter_cbs[i]) out[i].counter_value += counter_cbs[i]();
+    if (gauge_cbs[i]) out[i].gauge_value = gauge_cbs[i]();
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #include "sync/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "chain/journal.hpp"
 #include "common/serde.hpp"
@@ -10,12 +12,14 @@ namespace zlb::sync {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x5a4c424b;  // "ZLBK"
-// v2 adds the watermark's epoch; v1 files (epoch-0 deployments) still
-// load, reading an implicit epoch of zero.
-constexpr std::uint32_t kCheckpointVersion = 2;
+// v2 added the watermark's epoch (v1 files read an implicit epoch 0);
+// v3 replaces the image CRC with the chunk size and merkle root.
+constexpr std::uint32_t kCheckpointVersion = 3;
 // A checkpoint holds one serialized state snapshot; anything bigger
 // than this is a corrupt length prefix, not a plausible ledger.
 constexpr std::uint64_t kMaxImageBytes = 1u << 30;
+// Longest possible file header (v3 with a 10-byte varint length).
+constexpr std::size_t kMaxHeaderBytes = 4 + 4 + 8 + 4 + 4 + 32 + 10;
 
 }  // namespace
 
@@ -32,77 +36,261 @@ CheckpointImage CheckpointImage::from_bytes(InstanceId upto, Bytes bytes,
   return img;
 }
 
+CheckpointManager::~CheckpointManager() {
+  {
+    const MutexLock lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_all();
+  // The writer empties the queue before it exits.
+  if (writer_.joinable()) writer_.join();
+}
+
+void CheckpointManager::start_writer(CompactFn compact,
+                                     obs::Histogram* build_seconds,
+                                     const common::Clock* clock) {
+  {
+    const MutexLock lock(mu_);
+    if (writer_running_) return;
+    writer_running_ = true;
+  }
+  compact_ = std::move(compact);
+  build_seconds_ = build_seconds;
+  clock_ = clock;
+  writer_ = std::thread([this] { writer_loop(); });
+}
+
 bool CheckpointManager::on_decided(
     bm::BlockManager& bm, InstanceId floor,
     const std::function<std::uint32_t(InstanceId)>& epoch_of) {
   if (config_.interval == 0) return false;
-  if (floor < watermark() + config_.interval) return false;
+  InstanceId newest = 0;
+  {
+    const MutexLock lock(mu_);
+    newest = tail_.value_or(0);
+  }
+  if (floor < newest + config_.interval) return false;
   // Snap to the interval grid so every replica checkpoints the same
   // watermarks regardless of how floors happened to be observed.
   const InstanceId target = floor - floor % config_.interval;
-  if (target <= watermark()) return false;
+  if (target <= newest) return false;
   return take(bm, target, epoch_of ? epoch_of(target) : 0);
 }
 
 bool CheckpointManager::take(bm::BlockManager& bm, InstanceId floor,
                              std::uint32_t epoch) {
-  if (latest_ && floor <= latest_->upto) return false;
-  const Snapshot snap = bm.snapshot(floor);
-  CheckpointImage image = CheckpointImage::from_bytes(
-      floor, snap.encode(), config_.chunk_size, epoch);
-
-  // After the rotation below, this watermark is what <path>.prev
-  // covers — and therefore the deepest point the journal may shrink to.
-  const InstanceId prev_upto = latest_ ? latest_->upto : 0;
-  if (!config_.path.empty()) {
-    if (!write_disk(image)) {
-      ++stats_.disk_failures;
-      return false;
-    }
-    // The journal only shrinks once the checkpoint covering the dropped
-    // records is durable — and only to the .prev watermark, so the
-    // .prev image plus the tail always covers the chain (see header).
-    if (const auto dropped = bm.compact_journal(prev_upto)) {
-      stats_.journal_dropped += *dropped;
-    }
+  std::uint64_t failures = 0;
+  {
+    const MutexLock lock(mu_);
+    failures = stats_.disk_failures;
   }
-  latest_ = std::move(image);
-  ++stats_.taken;
+  if (!capture(bm, floor, epoch)) return false;
+  drain();
+  const MutexLock lock(mu_);
+  return published_ != nullptr && published_->upto == floor &&
+         stats_.disk_failures == failures;
+}
+
+bool CheckpointManager::capture(bm::BlockManager& bm, InstanceId upto,
+                                std::uint32_t epoch) {
+  Job job;
+  job.upto = upto;
+  job.epoch = epoch;
+  bool delta = false;
+  {
+    const MutexLock lock(mu_);
+    if (tail_ && upto <= *tail_) return false;
+    // The change log only pays off for periodic checkpoints; it starts
+    // with this capture's full export as its base.
+    if (config_.interval > 0 && !bm.tracking_changes()) {
+      bm.track_changes();
+    }
+    delta = bm.tracking_changes() && !rebase_ && tail_ &&
+            bm.change_base() == tail_;
+    if (delta) {
+      job.base = *tail_;
+    } else {
+      rebase_ = false;
+    }
+    tail_ = upto;
+  }
+  if (delta) {
+    job.body = bm.take_delta(upto);
+  } else {
+    job.body = bm.snapshot(upto);
+    if (bm.tracking_changes()) bm.reset_changes(upto);
+  }
+  job.ledger = &bm;
+  enqueue(std::move(job));
   return true;
 }
 
 bool CheckpointManager::adopt(InstanceId upto, Bytes bytes,
                               std::uint32_t epoch) {
-  if (latest_ && upto <= latest_->upto) return false;
-  CheckpointImage image = CheckpointImage::from_bytes(
-      upto, std::move(bytes), config_.chunk_size, epoch);
-  if (!config_.path.empty() && !write_disk(image)) {
-    ++stats_.disk_failures;
-    return false;
+  Job job;
+  job.upto = upto;
+  job.epoch = epoch;
+  job.body = std::move(bytes);
+  {
+    const MutexLock lock(mu_);
+    if (tail_ && upto <= *tail_) return false;
+    tail_ = upto;
   }
-  latest_ = std::move(image);
-  ++stats_.taken;
+  enqueue(std::move(job));
   return true;
 }
 
-bool CheckpointManager::write_disk(const CheckpointImage& image) {
+void CheckpointManager::enqueue(Job job) {
+  {
+    const MutexLock lock(mu_);
+    queue_.push_back(std::move(job));
+  }
+  work_cv_.notify_all();
+}
+
+void CheckpointManager::drain() {
+  bool writer = false;
+  {
+    const MutexLock lock(mu_);
+    writer = writer_running_;
+    while (writer && (!queue_.empty() || building_)) idle_cv_.wait(mu_);
+  }
+  if (writer) return;
+  // No writer: build the queue here, on the caller's thread (and under
+  // whatever lock it holds).
+  for (;;) {
+    Job job;
+    {
+      const MutexLock lock(mu_);
+      if (queue_.empty()) return;
+      job = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    build(job, /*on_writer=*/false);
+  }
+}
+
+void CheckpointManager::writer_loop() {
+  for (;;) {
+    Job job;
+    {
+      const MutexLock lock(mu_);
+      while (queue_.empty() && !stop_) work_cv_.wait(mu_);
+      if (queue_.empty()) return;
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      building_ = true;
+    }
+    try {
+      build(job, /*on_writer=*/true);
+    } catch (const std::exception&) {
+      // Out of memory mid-build: nothing was published, so the next
+      // capture must not patch an image that never appeared.
+      const MutexLock lock(mu_);
+      rebase_ = true;
+    }
+    {
+      const MutexLock lock(mu_);
+      building_ = false;
+    }
+    idle_cv_.notify_all();
+  }
+}
+
+void CheckpointManager::build(Job& job, bool on_writer) {
+  const std::int64_t t0 = clock_ != nullptr ? clock_->nanos() : 0;
+  Bytes bytes;
+  if (auto* delta = std::get_if<SnapshotDelta>(&job.body)) {
+    // Jobs build in capture order and every build publishes, so the
+    // image this delta patches is the one published right now — unless
+    // a build in between failed.
+    std::shared_ptr<const CheckpointImage> base;
+    {
+      const MutexLock lock(mu_);
+      base = published_;
+    }
+    std::optional<Bytes> patched;
+    if (base != nullptr && base->upto == job.base) {
+      try {
+        patched =
+            delta->apply_to(BytesView(base->bytes.data(), base->bytes.size()));
+      } catch (const std::exception&) {
+        patched.reset();  // unpatchable: the next capture exports in full
+      }
+    }
+    if (!patched) {
+      const MutexLock lock(mu_);
+      rebase_ = true;
+      return;
+    }
+    bytes = std::move(*patched);
+  } else if (auto* snap = std::get_if<Snapshot>(&job.body)) {
+    bytes = snap->encode();
+  } else {
+    bytes = std::move(std::get<Bytes>(job.body));
+  }
+  const bool adopted = std::holds_alternative<Bytes>(job.body);
+  const bool incremental = std::holds_alternative<SnapshotDelta>(job.body);
+  job.body = Bytes{};  // release the capture before the image grows
+
+  auto image = std::make_shared<const CheckpointImage>(
+      CheckpointImage::from_bytes(job.upto, std::move(bytes),
+                                  config_.chunk_size, job.epoch));
+  const bool durable = !config_.path.empty() && write_disk(*image);
+  std::optional<InstanceId> prev_disk;
+  {
+    // A failed write still publishes: the next delta patches this
+    // image, and the in-memory copy keeps serving state transfer.
+    const MutexLock lock(mu_);
+    prev_disk = disk_upto_;
+    if (durable) disk_upto_ = job.upto;
+    if (!config_.path.empty() && !durable) ++stats_.disk_failures;
+    published_ = std::move(image);
+    ++stats_.taken;
+    if (incremental) ++stats_.incremental;
+  }
+  if (build_seconds_ != nullptr && clock_ != nullptr) {
+    build_seconds_->observe(clock_->nanos() - t0);
+  }
+  // The journal shrinks only once the checkpoint covering the dropped
+  // records is durable — and only to the watermark <path>.prev now
+  // holds, so .prev plus the tail always covers the chain (see header).
+  if (durable && !adopted && prev_disk) {
+    std::optional<std::size_t> dropped;
+    if (on_writer) {
+      if (compact_) dropped = compact_(*prev_disk);
+    } else if (job.ledger != nullptr) {
+      dropped = job.ledger->compact_journal(*prev_disk);
+    }
+    if (dropped) {
+      const MutexLock lock(mu_);
+      stats_.journal_dropped += *dropped;
+    }
+  }
+}
+
+bool CheckpointManager::write_disk(const CheckpointImage& image) const {
   Writer w;
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u64(image.upto);
   w.u32(image.epoch);
-  w.u32(chain::crc32(BytesView(image.bytes.data(), image.bytes.size())));
+  w.u32(static_cast<std::uint32_t>(image.chunk_size));
+  w.raw(BytesView(image.root().data(), image.root().size()));
   w.varint(image.bytes.size());
-  w.raw(BytesView(image.bytes.data(), image.bytes.size()));
-  const Bytes file = w.take();
+  const Bytes header = w.take();
 
+  // Durability order: image data on the device, then the rename that
+  // publishes it, then the directory entry (see header).
   const std::string tmp = config_.path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const bool written =
-      std::fwrite(file.data(), 1, file.size(), f) == file.size() &&
-      std::fflush(f) == 0;
-  std::fclose(f);
+  bool written =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(image.bytes.data(), 1, image.bytes.size(), f) ==
+          image.bytes.size() &&
+      chain::sync_data(f);
+  written = std::fclose(f) == 0 && written;
   if (!written) {
     std::remove(tmp.c_str());
     return false;
@@ -114,55 +302,141 @@ bool CheckpointManager::write_disk(const CheckpointImage& image) {
     std::remove(tmp.c_str());
     return false;
   }
+  chain::sync_parent_dir(config_.path);
   return true;
 }
 
-std::optional<CheckpointImage> CheckpointManager::read_file(
+std::optional<CheckpointManager::Loaded> CheckpointManager::read_file(
     const std::string& path, std::size_t chunk_size) {
+  // Header first, then the image straight into its own buffer: no
+  // second full-size copy, and no decode before the image verified.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
-  Bytes file;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(buf, 1, sizeof buf, f);
-    file.insert(file.end(), buf, buf + got);
-    if (got < sizeof buf) break;
+  long size = -1;  // of the whole file
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  std::uint8_t head[kMaxHeaderBytes];
+  std::size_t got = 0;
+  if (size > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
+    got = std::fread(head, 1, sizeof head, f);
+  }
+  std::uint32_t version = 0;
+  InstanceId upto = 0;
+  std::uint32_t epoch = 0;
+  std::uint32_t crc = 0;
+  std::uint32_t file_chunk = 0;
+  crypto::Hash32 root{};
+  Bytes bytes;
+  try {
+    Reader r(BytesView(head, got));
+    if (r.u32() != kCheckpointMagic) throw DecodeError("checkpoint: magic");
+    version = r.u32();
+    if (version == 0 || version > kCheckpointVersion) {
+      throw DecodeError("checkpoint: version");
+    }
+    upto = r.u64();
+    epoch = version >= 2 ? r.u32() : 0;
+    if (version >= 3) {
+      file_chunk = r.u32();
+      const BytesView stored = r.view(root.size());
+      std::copy(stored.begin(), stored.end(), root.begin());
+      if (file_chunk == 0) throw DecodeError("checkpoint: chunk size");
+    } else {
+      crc = r.u32();
+    }
+    const std::uint64_t len = r.varint();
+    const std::size_t header_len = got - r.remaining();
+    // The image fills the rest of the file exactly.
+    if (len > kMaxImageBytes ||
+        header_len + len != static_cast<std::uint64_t>(size)) {
+      throw DecodeError("checkpoint: length");
+    }
+    bytes.resize(static_cast<std::size_t>(len));
+    if (std::fseek(f, static_cast<long>(header_len), SEEK_SET) != 0 ||
+        std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+      throw DecodeError("checkpoint: short read");
+    }
+  } catch (const DecodeError&) {
+    std::fclose(f);
+    return std::nullopt;
   }
   std::fclose(f);
 
+  const BytesView view(bytes.data(), bytes.size());
+  std::optional<crypto::MerkleTree> tree;
+  if (version >= 3) {
+    // The tree is needed anyway; rebuilding it verifies the image.
+    crypto::MerkleTree stored =
+        crypto::MerkleTree::build(chunk_leaves(view, file_chunk));
+    if (stored.root() != root) return std::nullopt;
+    if (file_chunk == chunk_size) tree = std::move(stored);
+  } else if (chain::crc32(view) != crc) {
+    return std::nullopt;
+  }
+  Loaded out;
   try {
-    Reader r(BytesView(file.data(), file.size()));
-    if (r.u32() != kCheckpointMagic) return std::nullopt;
-    const std::uint32_t version = r.u32();
-    if (version == 0 || version > kCheckpointVersion) return std::nullopt;
-    const InstanceId upto = r.u64();
-    const std::uint32_t epoch = version >= 2 ? r.u32() : 0;
-    const std::uint32_t crc = r.u32();
-    const std::uint64_t len = r.varint();
-    if (len > kMaxImageBytes || len > r.remaining()) return std::nullopt;
-    Bytes bytes = r.raw(static_cast<std::size_t>(len));
-    r.expect_done();
-    if (chain::crc32(BytesView(bytes.data(), bytes.size())) != crc) {
-      return std::nullopt;
-    }
-    // The snapshot must decode (it is what restore() will consume).
-    (void)Snapshot::decode(BytesView(bytes.data(), bytes.size()));
-    return CheckpointImage::from_bytes(upto, std::move(bytes), chunk_size,
-                                       epoch);
+    // The one decode: what restore() consumes.
+    out.snapshot = Snapshot::decode(view);
   } catch (const DecodeError&) {
     return std::nullopt;
   }
+  if (tree) {
+    out.image.upto = upto;
+    out.image.epoch = epoch;
+    out.image.chunk_size = chunk_size;
+    out.image.bytes = std::move(bytes);
+    out.image.tree = std::move(*tree);
+  } else {
+    out.image = CheckpointImage::from_bytes(upto, std::move(bytes),
+                                            chunk_size, epoch);
+  }
+  return out;
 }
 
 std::optional<Snapshot> CheckpointManager::load_disk() {
   if (config_.path.empty()) return std::nullopt;
-  auto image = read_file(config_.path, config_.chunk_size);
-  if (!image) image = read_file(config_.path + ".prev", config_.chunk_size);
-  if (!image) return std::nullopt;
-  Snapshot snap =
-      Snapshot::decode(BytesView(image->bytes.data(), image->bytes.size()));
-  latest_ = std::move(*image);
-  return snap;
+  auto loaded = read_file(config_.path, config_.chunk_size);
+  const bool latest_intact = loaded.has_value();
+  if (!loaded) loaded = read_file(config_.path + ".prev", config_.chunk_size);
+  if (!loaded) return std::nullopt;
+  const InstanceId upto = loaded->image.upto;
+  const MutexLock lock(mu_);
+  // A damaged <path> rotates into .prev on the next write, so nothing
+  // may be compacted against it.
+  disk_upto_ = latest_intact ? std::optional<InstanceId>(upto) : std::nullopt;
+  published_ =
+      std::make_shared<const CheckpointImage>(std::move(loaded->image));
+  tail_ = upto;
+  return std::move(loaded->snapshot);
+}
+
+std::shared_ptr<const CheckpointImage> CheckpointManager::image() const {
+  const MutexLock lock(mu_);
+  return published_;
+}
+
+const CheckpointImage* CheckpointManager::latest() const {
+  const MutexLock lock(mu_);
+  return published_.get();
+}
+
+InstanceId CheckpointManager::watermark() const {
+  const MutexLock lock(mu_);
+  return published_ ? published_->upto : 0;
+}
+
+std::uint32_t CheckpointManager::watermark_epoch() const {
+  const MutexLock lock(mu_);
+  return published_ ? published_->epoch : 0;
+}
+
+bool CheckpointManager::pending() const {
+  const MutexLock lock(mu_);
+  return !queue_.empty() || building_;
+}
+
+CheckpointStats CheckpointManager::stats() const {
+  const MutexLock lock(mu_);
+  return stats_;
 }
 
 }  // namespace zlb::sync

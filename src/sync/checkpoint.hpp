@@ -3,20 +3,49 @@
 // chunks, optionally persists the image beside the journal, and
 // compacts the journal so restart cost is O(K) instead of O(chain).
 //
+// A checkpoint is two steps. The CAPTURE runs under the caller's ledger
+// lock at the exact watermark and costs O(churn): with change tracking
+// on, BlockManager::take_delta() hands over the sorted changes since
+// the previous image (a manager with no previous image takes one full
+// export instead). The BUILD merges the delta into the previous image's
+// bytes in one pass, hashes the chunks, persists the image, publishes
+// it and compacts the journal. Builds run in FIFO order: on the
+// manager's own writer thread after start_writer(), else on the thread
+// that calls drain() or take() (the simulator, tools and tests) — the
+// same bytes either way. capture() itself never builds or does I/O.
+//
 // Durability layout (when `path` is set):
-//   <path>       latest checkpoint (atomic write-temp + rename)
+//   <path>       latest checkpoint: temp file, fdatasync, rename,
+//                directory fsync
 //   <path>.prev  the one before it
-// The journal is only compacted up to the PREVIOUS checkpoint's
-// watermark: if the latest file is torn or corrupt, <path>.prev plus
-// the journal tail still covers the whole chain — one interval of extra
-// replay buys tolerance to a crash mid-checkpoint.
+// The journal is only compacted once the latest image is durable, and
+// only up to the PREVIOUS checkpoint's watermark: if the latest file is
+// torn or corrupt, <path>.prev plus the journal tail still covers the
+// whole chain — one interval of extra replay buys tolerance to a crash
+// mid-checkpoint.
+//
+// File format v3: magic, version, upto, epoch, chunk size, merkle root,
+// varint length, image. Loading rebuilds the chunk tree and compares
+// roots; v1/v2 files (a CRC-32 where v3 has the root) still load.
+//
+// Threads & locks: mu_ guards the published image, the build queue and
+// the stats. It is a leaf, held only around queue and pointer updates —
+// never across a build, file I/O or the compaction callback. capture()
+// runs under the caller's ledger lock, so ledger lock > mu_.
 #pragma once
 
+#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
+#include <variant>
 
 #include "bm/block_manager.hpp"
+#include "common/clock.hpp"
+#include "common/mutex.hpp"
+#include "obs/metrics.hpp"
 #include "sync/snapshot.hpp"
 
 namespace zlb::sync {
@@ -26,7 +55,8 @@ struct CheckpointConfig {
   /// but restart replays the whole journal and nothing is compacted).
   std::string path;
   /// Decided instances between checkpoints (0 disables the trigger;
-  /// take() still works for on-demand snapshots).
+  /// take() still works for on-demand snapshots). While non-zero, the
+  /// ledgers this manager captures keep a change log.
   std::uint64_t interval = 0;
   /// Transfer/merkle chunk granularity.
   std::size_t chunk_size = 64 * 1024;
@@ -60,15 +90,33 @@ struct CheckpointImage {
 };
 
 struct CheckpointStats {
-  std::uint64_t taken = 0;            ///< checkpoints materialized
+  std::uint64_t taken = 0;            ///< checkpoints published
+  std::uint64_t incremental = 0;      ///< of those, patched from a delta
   std::uint64_t journal_dropped = 0;  ///< journal records compacted away
   std::uint64_t disk_failures = 0;    ///< failed writes (kept serving)
 };
 
 class CheckpointManager {
  public:
+  /// Drops the caller's journal records below a watermark, taking the
+  /// caller's ledger lock itself. Returns the records dropped, nullopt
+  /// on I/O failure.
+  using CompactFn = std::function<std::optional<std::size_t>(InstanceId)>;
+
   explicit CheckpointManager(CheckpointConfig config)
       : config_(std::move(config)) {}
+  /// Lets the writer build whatever is queued, then stops it. (Without
+  /// a writer, captures nobody drained are dropped.)
+  ~CheckpointManager();
+
+  CheckpointManager(const CheckpointManager&) = delete;
+  CheckpointManager& operator=(const CheckpointManager&) = delete;
+
+  /// Moves builds onto a dedicated writer thread. `compact` does the
+  /// journal compaction after each durable image; `build_seconds` (may
+  /// be null) records build + persist per image in `clock` nanoseconds.
+  void start_writer(CompactFn compact, obs::Histogram* build_seconds,
+                    const common::Clock* clock) EXCLUDES(mu_);
 
   /// Interval trigger: takes a checkpoint when `floor` (the contiguous
   /// decided-instance watermark) advanced at least `interval` past the
@@ -78,45 +126,103 @@ class CheckpointManager {
   /// duplicating the snap.
   bool on_decided(
       bm::BlockManager& bm, InstanceId floor,
-      const std::function<std::uint32_t(InstanceId)>& epoch_of = nullptr);
+      const std::function<std::uint32_t(InstanceId)>& epoch_of = nullptr)
+      EXCLUDES(mu_);
 
-  /// Unconditional checkpoint at `floor` (skipped if not ahead of the
-  /// current watermark).
-  bool take(bm::BlockManager& bm, InstanceId floor, std::uint32_t epoch = 0);
+  /// Unconditional checkpoint at `floor`, published before it returns.
+  /// False when skipped (not ahead of the newest image) or when the
+  /// disk write failed.
+  bool take(bm::BlockManager& bm, InstanceId floor, std::uint32_t epoch = 0)
+      EXCLUDES(mu_);
+
+  /// Captures `bm` as the image for watermark `upto`; the caller holds
+  /// the lock guarding `bm`, and `bm` must reflect exactly the
+  /// instances below `upto`. O(churn) when bm's change log is relative
+  /// to the newest image queued or published, else a full export.
+  /// Only queues the build (see drain()). False (nothing captured)
+  /// unless `upto` is ahead of that newest image.
+  bool capture(bm::BlockManager& bm, InstanceId upto, std::uint32_t epoch)
+      EXCLUDES(mu_);
 
   /// Adopts an externally obtained image (a snapshot installed from a
-  /// peer transfer) as the latest checkpoint, persisting it when a
-  /// path is configured — without this, a journaled joiner's disk
-  /// would hold only the post-watermark tail and a restart would
-  /// silently rebuild the wrong state. No journal compaction (there is
-  /// nothing below the watermark to drop). Skipped if not ahead.
-  bool adopt(InstanceId upto, Bytes bytes, std::uint32_t epoch = 0);
+  /// peer transfer, already restored into the ledger) as the next
+  /// checkpoint, persisting it when a path is configured — without
+  /// this, a journaled joiner's disk would hold only the post-watermark
+  /// tail and a restart would silently rebuild the wrong state. No
+  /// journal compaction (there is nothing below the watermark to drop).
+  /// Queued like capture(); skipped (false) if not ahead.
+  bool adopt(InstanceId upto, Bytes bytes, std::uint32_t epoch = 0)
+      EXCLUDES(mu_);
+
+  /// Returns once every queued image is published: waits for the
+  /// writer, or builds the queue on this thread when none runs.
+  void drain() EXCLUDES(mu_);
 
   /// Startup: loads and verifies the on-disk image (falling back to
-  /// <path>.prev when the latest is damaged), installs it as latest()
-  /// and returns the decoded snapshot for BlockManager::restore().
-  [[nodiscard]] std::optional<Snapshot> load_disk();
+  /// <path>.prev when the latest is damaged), publishes it and returns
+  /// the decoded snapshot for BlockManager::restore().
+  [[nodiscard]] std::optional<Snapshot> load_disk() EXCLUDES(mu_);
 
-  [[nodiscard]] const CheckpointImage* latest() const {
-    return latest_ ? &*latest_ : nullptr;
-  }
-  [[nodiscard]] InstanceId watermark() const {
-    return latest_ ? latest_->upto : 0;
-  }
-  [[nodiscard]] std::uint32_t watermark_epoch() const {
-    return latest_ ? latest_->epoch : 0;
-  }
+  /// The published image, alive for as long as the caller holds it.
+  [[nodiscard]] std::shared_ptr<const CheckpointImage> image() const
+      EXCLUDES(mu_);
+  /// The published image, valid until the next publish: for
+  /// single-threaded owners, or after drain().
+  [[nodiscard]] const CheckpointImage* latest() const EXCLUDES(mu_);
+  [[nodiscard]] InstanceId watermark() const EXCLUDES(mu_);
+  [[nodiscard]] std::uint32_t watermark_epoch() const EXCLUDES(mu_);
+  /// True while a captured or adopted image is not yet published.
+  [[nodiscard]] bool pending() const EXCLUDES(mu_);
   [[nodiscard]] const CheckpointConfig& config() const { return config_; }
-  [[nodiscard]] const CheckpointStats& stats() const { return stats_; }
+  [[nodiscard]] CheckpointStats stats() const EXCLUDES(mu_);
 
  private:
-  [[nodiscard]] bool write_disk(const CheckpointImage& image);
-  [[nodiscard]] static std::optional<CheckpointImage> read_file(
+  struct Job {
+    InstanceId upto = 0;
+    std::uint32_t epoch = 0;
+    /// A delta patches the image at watermark `base`; a Snapshot is a
+    /// full export; Bytes are an adopted image.
+    std::variant<SnapshotDelta, Snapshot, Bytes> body;
+    InstanceId base = 0;
+    /// The captured ledger: a build off the writer thread compacts its
+    /// journal directly (the writer uses compact_ instead).
+    bm::BlockManager* ledger = nullptr;
+  };
+
+  void enqueue(Job job) EXCLUDES(mu_);
+  /// Build, persist, publish, compact.
+  void build(Job& job, bool on_writer) EXCLUDES(mu_);
+  void writer_loop() EXCLUDES(mu_);
+  [[nodiscard]] bool write_disk(const CheckpointImage& image) const;
+  struct Loaded {
+    CheckpointImage image;
+    Snapshot snapshot;
+  };
+  [[nodiscard]] static std::optional<Loaded> read_file(
       const std::string& path, std::size_t chunk_size);
 
-  CheckpointConfig config_;
-  std::optional<CheckpointImage> latest_;
-  CheckpointStats stats_;
+  const CheckpointConfig config_;
+  /// Set once by start_writer(), before the writer thread exists.
+  CompactFn compact_;
+  obs::Histogram* build_seconds_ = nullptr;
+  const common::Clock* clock_ = nullptr;
+
+  mutable common::Mutex mu_;
+  common::CondVar work_cv_;  ///< queue -> writer
+  common::CondVar idle_cv_;  ///< publish -> drain()
+  std::shared_ptr<const CheckpointImage> published_ GUARDED_BY(mu_);
+  std::deque<Job> queue_ GUARDED_BY(mu_);
+  bool building_ GUARDED_BY(mu_) = false;
+  bool writer_running_ GUARDED_BY(mu_) = false;
+  bool stop_ GUARDED_BY(mu_) = false;
+  /// Watermark of the newest image queued or published.
+  std::optional<InstanceId> tail_ GUARDED_BY(mu_);
+  /// A build failed, so the next capture must be a full export.
+  bool rebase_ GUARDED_BY(mu_) = false;
+  /// Watermark of the intact image at <path> (nullopt: none known).
+  std::optional<InstanceId> disk_upto_ GUARDED_BY(mu_);
+  CheckpointStats stats_ GUARDED_BY(mu_);
+  std::thread writer_;
 };
 
 }  // namespace zlb::sync

@@ -1,6 +1,8 @@
 #include "sync/snapshot.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <stdexcept>
 
 #include "common/serde.hpp"
 
@@ -13,6 +15,197 @@ constexpr std::uint32_t kSnapshotMagic = 0x5a4c4253;  // "ZLBS"
 void put_outpoint(Writer& w, const chain::OutPoint& op) {
   w.raw(BytesView(op.txid.data(), op.txid.size()));
   w.u32(op.index);
+}
+
+// SnapshotDelta::apply_to writes the layout Snapshot::encode defines,
+// but into a buffer sized up front (the tests hold the two to byte
+// equality): a header (magic, version, upto, mint_counter, deposit),
+// then five sections, each a varint count of fixed-size records.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
+constexpr std::size_t kOutPointBytes = 32 + 4;
+constexpr std::size_t kUtxoBytes = kOutPointBytes + 8 + 20;
+constexpr std::size_t kValueBytes = kOutPointBytes + 8;
+constexpr std::size_t kTxIdBytes = 32;
+constexpr std::size_t kAddressBytes = 20;
+
+// Raw writers into that buffer, in Writer's byte layout (u32/u64
+// little-endian, LEB128 varints).
+std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+std::uint8_t* put_raw(std::uint8_t* p, const std::uint8_t* src,
+                      std::size_t n) {
+  if (n > 0) std::memcpy(p, src, n);
+  return p + n;
+}
+
+std::uint8_t* put_outpoint(std::uint8_t* p, const chain::OutPoint& op) {
+  return put_u32(put_raw(p, op.txid.data(), op.txid.size()), op.index);
+}
+
+std::uint8_t* put_txout(std::uint8_t* p, const chain::TxOut& out) {
+  p = put_u64(p, static_cast<std::uint64_t>(out.value));
+  return put_raw(p, out.to.data.data(), out.to.data.size());
+}
+
+// One record per section entry. A delta's spent outpoint (nullopt) is
+// never written — merge_section drops it instead.
+std::uint8_t* put_entry(
+    std::uint8_t* p,
+    const std::pair<chain::OutPoint, std::optional<chain::TxOut>>& e) {
+  return put_txout(put_outpoint(p, e.first), *e.second);
+}
+std::uint8_t* put_entry(std::uint8_t* p,
+                        const std::pair<chain::OutPoint, chain::Amount>& e) {
+  return put_u64(put_outpoint(p, e.first), static_cast<std::uint64_t>(e.second));
+}
+std::uint8_t* put_entry(std::uint8_t* p, const chain::TxId& id) {
+  return put_raw(p, id.data(), id.size());
+}
+std::uint8_t* put_entry(std::uint8_t* p, const chain::Address& a) {
+  return put_raw(p, a.data.data(), a.data.size());
+}
+
+bool is_live(const std::pair<chain::OutPoint, std::optional<chain::TxOut>>& e) {
+  return e.second.has_value();
+}
+template <typename Entry>
+bool is_live(const Entry& /*upsert*/) {
+  return true;
+}
+
+template <typename Value>
+const chain::OutPoint& key_of(const std::pair<chain::OutPoint, Value>& e) {
+  return e.first;
+}
+const chain::TxId& key_of(const chain::TxId& id) { return id; }
+
+/// Orders an encoded record against a key the way the decoded values
+/// order (OutPoint: txid bytes, then the little-endian index).
+int compare_record(const std::uint8_t* rec, const chain::OutPoint& op) {
+  if (const int c = std::memcmp(rec, op.txid.data(), op.txid.size())) return c;
+  std::uint32_t index = 0;
+  for (int i = 0; i < 4; ++i) {
+    index |= static_cast<std::uint32_t>(rec[32 + i]) << (8 * i);
+  }
+  return index < op.index ? -1 : (index > op.index ? 1 : 0);
+}
+int compare_record(const std::uint8_t* rec, const chain::TxId& id) {
+  return std::memcmp(rec, id.data(), id.size());
+}
+
+/// One sorted section of an encoded base snapshot.
+struct Section {
+  const std::uint8_t* data = nullptr;
+  std::size_t count = 0;
+};
+
+/// Where each delta entry lands in a base section: its lower-bound
+/// record index and whether that record has the same key (and is thus
+/// replaced or deleted), plus the merged record count.
+struct MergePlan {
+  std::vector<std::size_t> pos;
+  std::vector<std::uint8_t> hit;
+  std::size_t count = 0;
+};
+
+template <typename Entries>
+MergePlan plan_merge(Section base, std::size_t rec, const Entries& delta) {
+  MergePlan plan;
+  plan.pos.reserve(delta.size());
+  plan.hit.reserve(delta.size());
+  plan.count = base.count;
+  std::size_t lo = 0;
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    const auto& key = key_of(delta[i]);
+    if (i > 0 && !(key_of(delta[i - 1]) < key)) {
+      throw std::invalid_argument("snapshot delta: section not sorted");
+    }
+    // Delta keys ascend, so each search starts where the last ended.
+    std::size_t hi = base.count;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (compare_record(base.data + mid * rec, key) < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    const bool hit =
+        lo < base.count && compare_record(base.data + lo * rec, key) == 0;
+    plan.pos.push_back(lo);
+    plan.hit.push_back(hit ? 1 : 0);
+    if (is_live(delta[i]) && !hit) ++plan.count;
+    if (!is_live(delta[i]) && hit) --plan.count;
+  }
+  return plan;
+}
+
+/// Base records [from, to) in one copy.
+std::uint8_t* copy_records(std::uint8_t* out, Section base, std::size_t rec,
+                           std::size_t from, std::size_t to) {
+  if (from == to) return out;
+  return put_raw(out, base.data + from * rec, (to - from) * rec);
+}
+
+/// Copies the base records between delta positions in whole runs and
+/// writes the delta's live entries in between.
+template <typename Entries>
+std::uint8_t* merge_section(std::uint8_t* out, Section base, std::size_t rec,
+                            const Entries& delta, const MergePlan& plan) {
+  out = put_varint(out, plan.count);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    out = copy_records(out, base, rec, next, plan.pos[i]);
+    next = plan.pos[i] + plan.hit[i];
+    if (is_live(delta[i])) out = put_entry(out, delta[i]);
+  }
+  return copy_records(out, base, rec, next, base.count);
+}
+
+template <typename Entries>
+std::uint8_t* put_section(std::uint8_t* out, const Entries& entries) {
+  out = put_varint(out, entries.size());
+  for (const auto& e : entries) out = put_entry(out, e);
+  return out;
+}
+
+std::size_t section_bytes(std::size_t count, std::size_t rec) {
+  return varint_size(count) + count * rec;
+}
+
+std::uint8_t* put_header(std::uint8_t* p, InstanceId upto,
+                         std::uint64_t mint_counter, chain::Amount deposit) {
+  p = put_u32(p, kSnapshotMagic);
+  p = put_u32(p, Snapshot::kVersion);
+  p = put_u64(p, upto);
+  p = put_u64(p, mint_counter);
+  return put_u64(p, static_cast<std::uint64_t>(deposit));
 }
 
 chain::OutPoint get_outpoint(Reader& r) {
@@ -87,6 +280,49 @@ Bytes Snapshot::encode() const {
     w.raw(BytesView(a.data.data(), a.data.size()));
   }
   return w.take();
+}
+
+Bytes SnapshotDelta::apply_to(BytesView base) const {
+  // Locate the three sections a delta patches; the two small ones are
+  // replaced whole, so the base's copies are only skipped over.
+  Section base_utxos, base_ever, base_txs;
+  if (!base.empty()) {
+    Reader r(base);
+    if (r.u32() != kSnapshotMagic) throw DecodeError("snapshot: bad magic");
+    if (r.u32() != Snapshot::kVersion) {
+      throw DecodeError("snapshot: bad version");
+    }
+    (void)r.view(kHeaderBytes - 8);
+    const auto section = [&r](std::size_t rec) {
+      Section sec;
+      sec.count = static_cast<std::size_t>(
+          r.length_prefix(rec, std::uint64_t{1} << 32));
+      sec.data = r.view(sec.count * rec).data();
+      return sec;
+    };
+    base_utxos = section(kUtxoBytes);
+    base_ever = section(kValueBytes);
+    base_txs = section(kTxIdBytes);
+    (void)section(kValueBytes);
+    (void)section(kAddressBytes);
+    r.expect_done();
+  }
+  const MergePlan utxo_plan = plan_merge(base_utxos, kUtxoBytes, utxos);
+  const MergePlan ever_plan = plan_merge(base_ever, kValueBytes, ever_values);
+  const MergePlan tx_plan = plan_merge(base_txs, kTxIdBytes, known_txs);
+
+  Bytes out(kHeaderBytes + section_bytes(utxo_plan.count, kUtxoBytes) +
+            section_bytes(ever_plan.count, kValueBytes) +
+            section_bytes(tx_plan.count, kTxIdBytes) +
+            section_bytes(inputs_deposit.size(), kValueBytes) +
+            section_bytes(punished.size(), kAddressBytes));
+  std::uint8_t* p = put_header(out.data(), upto, mint_counter, deposit);
+  p = merge_section(p, base_utxos, kUtxoBytes, utxos, utxo_plan);
+  p = merge_section(p, base_ever, kValueBytes, ever_values, ever_plan);
+  p = merge_section(p, base_txs, kTxIdBytes, known_txs, tx_plan);
+  p = put_section(p, inputs_deposit);
+  (void)put_section(p, punished);
+  return out;
 }
 
 Snapshot Snapshot::decode(BytesView data) {

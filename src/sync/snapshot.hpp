@@ -10,6 +10,8 @@
 // deduplicated by txid, so tail overlap is harmless).
 #pragma once
 
+#include <optional>
+
 #include "chain/tx.hpp"
 #include "common/types.hpp"
 #include "crypto/merkle.hpp"
@@ -56,6 +58,32 @@ struct Snapshot {
            a.ever_values == b.ever_values && a.known_txs == b.known_txs &&
            a.inputs_deposit == b.inputs_deposit && a.punished == b.punished;
   }
+};
+
+/// The ledger change between two checkpoints, valued at the later one:
+/// what BlockManager captures (in O(churn), under its ledger lock) so
+/// the O(ledger) encode can run elsewhere. Every section is sorted and
+/// duplicate-free like the Snapshot section it patches.
+struct SnapshotDelta {
+  InstanceId upto = 0;
+  std::uint64_t mint_counter = 0;
+  chain::Amount deposit = 0;
+  /// Touched outpoints: the live output, or nullopt once it is spent.
+  std::vector<std::pair<chain::OutPoint, std::optional<chain::TxOut>>> utxos;
+  /// Archive values created since the base (the archive only grows).
+  std::vector<std::pair<chain::OutPoint, chain::Amount>> ever_values;
+  /// Transactions committed since the base (the set only grows).
+  std::vector<chain::TxId> known_txs;
+  /// The small sections travel whole.
+  std::vector<std::pair<chain::OutPoint, chain::Amount>> inputs_deposit;
+  std::vector<chain::Address> punished;
+
+  /// Canonical encoding of `base` (an encoded Snapshot; empty = the
+  /// empty ledger) with this delta applied: one merge pass into a
+  /// buffer allocated at its exact final size, byte-identical to
+  /// Snapshot::encode() of the state the delta was captured from.
+  /// Throws DecodeError when `base` is not a well-formed encoding.
+  [[nodiscard]] Bytes apply_to(BytesView base) const;
 };
 
 /// Fixed-size chunking of an encoded snapshot. Every snapshot has at

@@ -2,13 +2,18 @@
 // with the .prev fallback, journal compaction lagging one checkpoint,
 // and the crash-recovery contract — restart from snapshot + journal
 // tail is bit-identical to an uninterrupted replica and replays only
-// the post-checkpoint tail (asserted via ReplayStats).
+// the post-checkpoint tail (asserted via ReplayStats). Incremental
+// images (a captured delta merged into the previous image) must equal
+// a full export byte for byte, inline and on the background writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <random>
 
+#include "chain/journal.hpp"
 #include "chain/wallet.hpp"
+#include "common/serde.hpp"
 #include "sync/checkpoint.hpp"
 
 namespace zlb::sync {
@@ -195,6 +200,309 @@ TEST_F(CheckpointFixture, MemoryModeNeverTouchesDiskOrJournal) {
   const auto stats = reborn.open_journal(journal_);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->blocks, 10u);
+}
+
+TEST_F(CheckpointFixture, LegacyV2FileStillLoads) {
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  bm.commit_block(make_block(bm, 0));
+  const Bytes image = bm.snapshot(7).encode();
+  // A v2 file: magic, version, upto, epoch, CRC-32 of the image,
+  // varint length, image.
+  Writer w;
+  w.u32(0x5a4c424b);
+  w.u32(2);
+  w.u64(7);
+  w.u32(3);
+  w.u32(chain::crc32(BytesView(image.data(), image.size())));
+  w.varint(image.size());
+  w.raw(BytesView(image.data(), image.size()));
+  const Bytes file = w.take();
+  {
+    std::FILE* f = std::fopen(ckpt_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+  }
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 0, 64});
+  const auto snap = mgr.load_disk();
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->upto, 7u);
+  EXPECT_EQ(mgr.watermark_epoch(), 3u);
+  ASSERT_NE(mgr.latest(), nullptr);
+  EXPECT_EQ(mgr.latest()->bytes, image);
+  EXPECT_EQ(snap->state_digest(), bm.state_digest());
+}
+
+TEST_F(CheckpointFixture, ChunkSizeChangeStillLoads) {
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  {
+    CheckpointManager mgr(CheckpointConfig{ckpt_, 0, 64});
+    ASSERT_TRUE(mgr.take(bm, 3));
+  }
+  // The file's root is over 64-byte chunks; a loader configured for
+  // another geometry verifies at 64 and serves its own.
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 0, 32});
+  ASSERT_TRUE(mgr.load_disk().has_value());
+  ASSERT_NE(mgr.latest(), nullptr);
+  EXPECT_EQ(mgr.latest()->chunk_size, 32u);
+  EXPECT_EQ(mgr.latest()->root(),
+            CheckpointImage::from_bytes(3, bm.snapshot(3).encode(), 32).root());
+}
+
+/// Random ledger histories for the incremental-image property: agreed
+/// blocks with intra-block spend chains, fork merges with conflicting
+/// and not-yet-spendable inputs (moving the deposit, inputs-deposit
+/// and, through refunds, the UTXO set), punishments, mints, deposit
+/// top-ups, and restores mid-history.
+class History {
+ public:
+  explicit History(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 6; ++i) {
+      wallets_.emplace_back(to_bytes("hist-" + std::to_string(i)));
+    }
+  }
+
+  void seed(bm::BlockManager& bm) {
+    for (int i = 0; i < 24; ++i) mint(bm);
+    bm.fund_deposit(1000);
+  }
+
+  /// One decided instance's worth of random mutations.
+  void step(bm::BlockManager& bm, InstanceId index) {
+    const int ops = 1 + static_cast<int>(rng_() % 3);
+    for (int i = 0; i < ops; ++i) {
+      switch (rng_() % 8) {
+        case 0:
+        case 1:
+        case 2:
+          agreed_chain(bm, index);
+          break;
+        case 3:
+        case 4:
+          conflicting_merge(bm, index);
+          break;
+        case 5:
+          bm.punish_account(wallet().address());
+          break;
+        case 6:
+          mint(bm);
+          break;
+        default:
+          bm.fund_deposit(static_cast<chain::Amount>(rng_() % 50));
+          break;
+      }
+    }
+  }
+
+ private:
+  chain::Wallet& wallet() { return wallets_[rng_() % wallets_.size()]; }
+
+  void mint(bm::BlockManager& bm) {
+    (void)bm.utxos().mint(wallet().address(),
+                          10 + static_cast<chain::Amount>(rng_() % 90));
+  }
+
+  /// A coin of `w`, if it owns one.
+  std::optional<std::pair<chain::OutPoint, chain::TxOut>> coin_of(
+      const bm::BlockManager& bm, const chain::Wallet& w) {
+    const auto coins = bm.utxos().owned_by(w.address());
+    if (coins.empty()) return std::nullopt;
+    return coins[rng_() % coins.size()];
+  }
+
+  /// Agreed block: A pays B, then B re-spends that fresh output in the
+  /// same block (and sometimes C again).
+  void agreed_chain(bm::BlockManager& bm, InstanceId index) {
+    chain::Wallet& a = wallet();
+    const auto coin = coin_of(bm, a);
+    if (!coin) return;
+    chain::Block block;
+    block.index = index;
+    std::pair<chain::OutPoint, chain::TxOut> carry = *coin;
+    chain::Wallet* payer = &a;
+    const int hops = 1 + static_cast<int>(rng_() % 3);
+    for (int h = 0; h < hops; ++h) {
+      chain::Wallet& payee = wallet();
+      const chain::Amount value =
+          1 + static_cast<chain::Amount>(rng_() %
+                                         static_cast<std::uint64_t>(
+                                             carry.second.value));
+      chain::Transaction tx = payer->pay_from({carry}, payee.address(), value);
+      carry = {chain::OutPoint{tx.id(), 0}, tx.outputs[0]};
+      spent_.push_back(tx.inputs[0].prev);
+      block.txs.push_back(std::move(tx));
+      payer = &payee;
+    }
+    (void)bm.apply_verified(block, {});
+  }
+
+  /// Fork merge: one transaction double-spends an already-spent coin
+  /// (funded from the deposit); another spends the output of a
+  /// transaction the ledger has not seen yet, which the parent's later
+  /// arrival makes spendable (refunding the deposit).
+  void conflicting_merge(bm::BlockManager& bm, InstanceId index) {
+    chain::Block block;
+    block.index = index;
+    if (!spent_.empty()) {
+      chain::Transaction tx;
+      chain::TxIn in;
+      in.prev = spent_[rng_() % spent_.size()];
+      in.value = 5;
+      tx.inputs.push_back(in);
+      tx.outputs.push_back(chain::TxOut{4, wallet().address()});
+      tx.seq = rng_();
+      block.txs.push_back(tx);
+    }
+    if (pending_parent_) {
+      block.txs.push_back(*pending_parent_);  // arrives after its child
+      pending_parent_.reset();
+    } else if (const auto coin = coin_of(bm, wallets_[0])) {
+      chain::Transaction parent =
+          wallets_[0].pay_from({*coin}, wallets_[1].address(), 1);
+      chain::Transaction child;
+      chain::TxIn in;
+      in.prev = chain::OutPoint{parent.id(), 0};
+      in.value = 1;
+      child.inputs.push_back(in);
+      child.outputs.push_back(chain::TxOut{1, wallet().address()});
+      child.seq = rng_();
+      block.txs.push_back(child);
+      pending_parent_ = parent;
+    }
+    bm.merge_block(block);
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<chain::Wallet> wallets_;
+  std::vector<chain::OutPoint> spent_;
+  std::optional<chain::Transaction> pending_parent_;
+};
+
+TEST(CheckpointDelta, IncrementalImagesMatchFullExport) {
+  std::size_t total_restores = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    History history(seed);
+    bm::BlockManager bm;
+    history.seed(bm);
+    CheckpointManager mgr(CheckpointConfig{"", 3, 256});
+    std::mt19937_64 rng(seed * 977);
+    std::optional<Snapshot> saved;
+    std::size_t checked = 0;
+    std::size_t restores = 0;
+    for (InstanceId k = 0; k < 60; ++k) {
+      history.step(bm, k);
+      if (rng() % 17 == 0 && saved.has_value()) {
+        ++restores;
+        // Restore mid-history: an older state, relabelled at the
+        // current floor. Adopted, it is the base the next delta
+        // patches; restored but NOT adopted, the next capture must
+        // notice the log no longer matches and export in full.
+        Snapshot s = *saved;
+        s.upto = k + 1;
+        bm.restore(s);
+        if (rng() % 2 == 0) {
+          ASSERT_TRUE(mgr.adopt(s.upto, s.encode()));
+        }
+      }
+      if (mgr.on_decided(bm, k + 1)) {
+        // The grid snaps the label (an off-grid adopt shifts it); the
+        // image holds the state as of now either way.
+        const InstanceId wm = mgr.watermark();
+        ASSERT_NE(mgr.latest(), nullptr);
+        ASSERT_EQ(mgr.latest()->bytes, bm.snapshot(wm).encode())
+            << "seed " << seed << " watermark " << wm;
+        ++checked;
+        if (rng() % 3 == 0) saved = bm.snapshot(wm);
+      }
+    }
+    EXPECT_GE(checked, 15u);
+    EXPECT_GT(mgr.stats().incremental, checked / 2)
+        << "the delta path must carry most captures";
+    // The history reached every kind of change it is meant to cover.
+    EXPECT_GT(bm.stats().conflicting_inputs, 0u) << "seed " << seed;
+    EXPECT_GT(bm.stats().deposit_refunded, 0) << "seed " << seed;
+    total_restores += restores;
+  }
+  EXPECT_GT(total_restores, 0u);
+}
+
+TEST(CheckpointDelta, WriterThreadBuildsTheSameImages) {
+  // Same history twice: inline builds vs the background writer. The
+  // writer must publish byte-identical images at the same watermarks.
+  const auto run = [](bool writer) {
+    History history(42);
+    bm::BlockManager bm;
+    history.seed(bm);
+    CheckpointManager mgr(CheckpointConfig{"", 4, 128});
+    if (writer) mgr.start_writer(nullptr, nullptr, nullptr);
+    std::vector<Bytes> images;
+    for (InstanceId k = 0; k < 40; ++k) {
+      history.step(bm, k);
+      if ((k + 1) % 4 == 0) {
+        EXPECT_TRUE(mgr.capture(bm, k + 1, 0));
+        mgr.drain();
+        images.push_back(mgr.image()->bytes);
+        EXPECT_EQ(images.back(), bm.snapshot(k + 1).encode());
+      }
+    }
+    return images;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST_F(CheckpointFixture, WriterPersistsThenCompacts) {
+  // Background writer with a journal: images reach the disk in capture
+  // order, and compaction trails one durable image behind.
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  ASSERT_TRUE(bm.open_journal(journal_).has_value());
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 5, 64});
+  std::vector<InstanceId> compacted;
+  mgr.start_writer(
+      [&](InstanceId keep_from) -> std::optional<std::size_t> {
+        compacted.push_back(keep_from);
+        return bm.compact_journal(keep_from);
+      },
+      nullptr, nullptr);
+  for (InstanceId k = 0; k < 16; ++k) {
+    bm.commit_block(make_block(bm, k));
+    if ((k + 1) % 5 == 0) {
+      ASSERT_TRUE(mgr.capture(bm, k + 1, 0));
+      mgr.drain();  // the test's journal has no lock of its own
+    }
+  }
+  EXPECT_EQ(mgr.watermark(), 15u);
+  EXPECT_EQ(compacted, (std::vector<InstanceId>{5, 10}));
+  EXPECT_EQ(mgr.stats().disk_failures, 0u);
+
+  bm::BlockManager reborn;
+  CheckpointManager mgr2(CheckpointConfig{ckpt_, 5, 64});
+  const auto snap = mgr2.load_disk();
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->upto, 15u);
+  reborn.restore(*snap);
+  const auto stats = reborn.open_journal(journal_);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->blocks, 6u);  // blocks 10..15
+  EXPECT_EQ(reborn.state_digest(), bm.state_digest());
+}
+
+TEST_F(CheckpointFixture, FailedWriteStillAdvancesTheImage) {
+  // An unwritable path: every write fails, but the image still
+  // advances in memory — the next delta patches it.
+  const std::string bad = base_ + "-missing-dir/ckpt";
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  CheckpointManager mgr(CheckpointConfig{bad, 2, 64});
+  for (InstanceId k = 0; k < 6; ++k) {
+    bm.commit_block(make_block(bm, k));
+    (void)mgr.on_decided(bm, k + 1);
+  }
+  EXPECT_EQ(mgr.watermark(), 6u);
+  EXPECT_EQ(mgr.stats().disk_failures, 3u);
+  EXPECT_EQ(mgr.latest()->bytes, bm.snapshot(6).encode());
 }
 
 }  // namespace

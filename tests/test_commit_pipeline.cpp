@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <unordered_set>
 
@@ -19,6 +21,7 @@
 #include "chain/mempool.hpp"
 #include "chain/wallet.hpp"
 #include "common/serde.hpp"
+#include "sync/checkpoint.hpp"
 
 namespace zlb::bm {
 namespace {
@@ -76,6 +79,28 @@ struct ChainedWorkload {
   }
 };
 
+/// Checkpoint images captured by the pipeline's watermark hook, by
+/// watermark. The hook runs on the committer under the ledger lock;
+/// read `images` under the same lock.
+class GridImages {
+ public:
+  static constexpr std::uint64_t kInterval = 2;
+
+  void attach(CommitPipeline::Config& cfg, BlockManager& bm) {
+    cfg.watermark_interval = kInterval;
+    cfg.on_watermark = [this, &bm](InstanceId upto) {
+      EXPECT_TRUE(mgr_.capture(bm, upto, 0));
+      mgr_.drain();  // no writer: builds here
+      images[upto] = mgr_.image()->bytes;
+    };
+  }
+
+  std::map<InstanceId, Bytes> images;
+
+ private:
+  sync::CheckpointManager mgr_{sync::CheckpointConfig{"", kInterval, 64}};
+};
+
 void expect_nondecreasing(const BlockManager& bm) {
   const auto& order = bm.commit_order();
   for (std::size_t i = 1; i < order.size(); ++i) {
@@ -100,11 +125,28 @@ TEST(CommitPipeline, ShuffledSubmissionOrderIsCanonical) {
     orders.push_back(shuffled);
   }
 
+  // Reference images: the serial path's ledger at each grid watermark.
+  std::map<InstanceId, Bytes> expected_images;
+  {
+    BlockManager bm = w.fresh_bm();
+    for (std::size_t k = 0; k < n; ++k) {
+      Reader r(BytesView(w.payloads[k].data(), w.payloads[k].size()));
+      chain::Block block = chain::Block::deserialize(r);
+      block.index = k;
+      (void)bm.commit_block(block, /*verify_sigs=*/false);
+      if ((k + 1) % GridImages::kInterval == 0) {
+        expected_images[k + 1] = bm.snapshot(k + 1).encode();
+      }
+    }
+  }
+
   for (const auto& order : orders) {
     BlockManager bm = w.fresh_bm();
     common::Mutex ledger_mu;
     CommitPipeline::Config cfg;
     cfg.workers = 2;
+    GridImages grid;
+    grid.attach(cfg, bm);
     CommitPipeline pipe(bm, ledger_mu, cfg);
     for (const std::size_t k : order) {
       pipe.submit(/*epoch=*/0, k, {w.payloads[k]});
@@ -117,17 +159,24 @@ TEST(CommitPipeline, ShuffledSubmissionOrderIsCanonical) {
         << "state diverged under shuffled decision order";
     EXPECT_EQ(bm.commit_order().size(), n);
     expect_nondecreasing(bm);
+    // A checkpoint at every grid watermark, each exactly the ledger of
+    // the instances below it, whatever order the decisions came in.
+    EXPECT_EQ(grid.images, expected_images)
+        << "checkpoint images diverged under shuffled decision order";
   }
 }
 
 TEST(CommitPipeline, WorkerCountDoesNotChangeState) {
   const ChainedWorkload w(5);
   const crypto::Hash32 expected = w.serial_digest();
+  std::optional<std::map<InstanceId, Bytes>> first_images;
   for (const std::size_t workers : {0u, 1u, 3u}) {
     BlockManager bm = w.fresh_bm();
     common::Mutex ledger_mu;
     CommitPipeline::Config cfg;
     cfg.workers = workers;
+    GridImages grid;
+    grid.attach(cfg, bm);
     CommitPipeline pipe(bm, ledger_mu, cfg);
     for (std::size_t k = w.payloads.size(); k-- > 0;) {
       pipe.submit(0, k, {w.payloads[k]});
@@ -135,6 +184,12 @@ TEST(CommitPipeline, WorkerCountDoesNotChangeState) {
     pipe.drain();
     const common::MutexLock lock(ledger_mu);
     EXPECT_EQ(bm.state_digest(), expected) << "workers=" << workers;
+    EXPECT_EQ(grid.images.size(), 2u);  // watermarks 2 and 4
+    if (!first_images) {
+      first_images = grid.images;
+    } else {
+      EXPECT_EQ(grid.images, *first_images) << "workers=" << workers;
+    }
   }
 }
 

@@ -10,10 +10,12 @@
 #include <cstdio>
 #include <limits>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/mutex.hpp"
 #include "obs/expo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -159,6 +161,39 @@ TEST(Registry, RegistrationIsIdempotentPerNameAndLabels) {
   EXPECT_EQ(samples[1].counter_value, 11u);
   EXPECT_EQ(samples[2].labels, (LabelSet{{"kind", "a"}}));
   EXPECT_EQ(samples[3].labels, (LabelSet{{"kind", "b"}}));
+}
+
+TEST(Registry, CallbacksRunOutsideTheRegistryLock) {
+  // An owner registers metrics while holding its own lock, and its
+  // pull callback takes that lock (a node registers histograms under
+  // its ledger lock; its mempool gauge takes the decisions lock, which
+  // nests outside the ledger lock). Calling back under the registry
+  // lock would close a lock-order cycle: TSan reports the inversion,
+  // and two threads doing it can deadlock.
+  Registry reg;
+  common::Mutex owner_mu;
+  std::int64_t owned = 7;
+  reg.gauge_fn("owned", "help", [&]() -> std::int64_t {
+    const common::MutexLock lock(owner_mu);
+    return owned;
+  });
+  // A callback may even register: it runs with the registry unlocked.
+  reg.gauge_fn("reentrant", "help", [&reg]() -> std::int64_t {
+    return static_cast<std::int64_t>(reg.counter("made", "help").value());
+  });
+  std::thread registrar([&]() {
+    for (int i = 0; i < 200; ++i) {
+      const common::MutexLock lock(owner_mu);
+      (void)reg.histogram("h" + std::to_string(i % 8), "help");
+    }
+  });
+  for (int i = 0; i < 200; ++i) (void)reg.samples();
+  registrar.join();
+  std::int64_t seen = -1;
+  for (const Sample& s : reg.samples()) {
+    if (s.name == "owned") seen = s.gauge_value;
+  }
+  EXPECT_EQ(seen, 7);
 }
 
 TEST(Exposition, PrometheusGolden) {

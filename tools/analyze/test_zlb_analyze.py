@@ -39,6 +39,7 @@ FIXTURES = {
     "unchecked_decode": "bounded-decode",
     "schema_drift": "wire-schema",
     "blocking_lock": "lock-blocking",
+    "blocking_unique_ptr": "lock-blocking",
 }
 
 ALL_CHECKERS = sorted(set(FIXTURES.values()))

@@ -715,6 +715,10 @@ def base_type(type_str: str) -> str:
 
 def element_type(type_str: str) -> str | None:
     """vector<X>/array<X,N>/optional<X>/map<K,V>(V) element type name."""
+    # The Python frontend joins type tokens with spaces
+    # ('std :: unique_ptr < sync :: X >'); a qualified name must read
+    # as one identifier path or it resolves to its namespace.
+    type_str = re.sub(r"\s*::\s*", "::", type_str)
     m = re.search(r"(?:vector|set|deque|optional|unique_ptr|shared_ptr)\s*<\s*"
                   r"([A-Za-z_][\w:]*)", type_str)
     if m:
@@ -908,7 +912,7 @@ TRUSTED_CORE_FILES = ("src/common/serde.cpp", "src/common/serde.hpp",
 DOC_LOCK_ORDER: list[list[str]] = [
     ["LiveNode::decisions_mutex_"],
     ["LiveNode::ledger_mutex_"],
-    ["CommitPipeline::mu_", "ThreadPool::mu_"],
+    ["CommitPipeline::mu_", "ThreadPool::mu_", "CheckpointManager::mu_"],
 ]
 
 
