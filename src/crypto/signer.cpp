@@ -33,6 +33,17 @@ PublicKey EcdsaScheme::public_key(ReplicaId id) const {
   return it->second;
 }
 
+const AffinePoint& EcdsaScheme::point_for(ReplicaId id) const {
+  auto it = points_.find(id);
+  if (it == points_.end()) {
+    const PublicKey pub = public_key(id);
+    // A key derived from a valid scalar always decompresses.
+    it = points_.emplace(id, *decompress(BytesView(pub.data.data(), 33)))
+             .first;
+  }
+  return it->second;
+}
+
 Bytes EcdsaScheme::sign(ReplicaId id, BytesView message) {
   const Signature sig = key_for(id).sign(message);
   const auto raw = sig.to_bytes();
@@ -43,7 +54,7 @@ bool EcdsaScheme::verify(ReplicaId id, BytesView message,
                          BytesView signature) const {
   const auto sig = Signature::from_bytes(signature);
   if (!sig) return false;
-  return zlb::crypto::verify(public_key(id), message, *sig);
+  return verify_digest(point_for(id), sha256(message), *sig);
 }
 
 Bytes SimScheme::compute(ReplicaId id, BytesView message) const {

@@ -32,7 +32,9 @@ class SignatureScheme {
   [[nodiscard]] virtual std::size_t signature_size() const = 0;
 };
 
-/// Real secp256k1 ECDSA, one deterministic key per replica id.
+/// Real secp256k1 ECDSA, one deterministic key per replica id. Not
+/// thread-safe: keys and public keys are cached lazily in unsynchronised
+/// maps, so one thread owns a scheme (a LiveNode's loop thread).
 class EcdsaScheme final : public SignatureScheme {
  public:
   [[nodiscard]] Bytes sign(ReplicaId id, BytesView message) override;
@@ -45,9 +47,13 @@ class EcdsaScheme final : public SignatureScheme {
 
  private:
   const PrivateKey& key_for(ReplicaId id) const;
+  /// The signer's decompressed public key: decompression is a field
+  /// square root, which every verify would otherwise pay again.
+  const AffinePoint& point_for(ReplicaId id) const;
 
   mutable std::unordered_map<ReplicaId, PrivateKey> keys_;
   mutable std::unordered_map<ReplicaId, PublicKey> pubs_;
+  mutable std::unordered_map<ReplicaId, AffinePoint> points_;
 };
 
 /// Keyed-hash stand-in with a configurable wire size. sig =

@@ -3,7 +3,10 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <ctime>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace zlb::net {
 
@@ -42,14 +45,18 @@ void EventLoop::cancel(TimerId id) {
 bool EventLoop::poll_once(Duration timeout) {
   if (watches_.empty() && timers_.empty()) return false;
 
-  // Clamp the poll timeout to the next timer deadline.
+  // Clamp the poll timeout to the next timer deadline, at full
+  // resolution: a wait truncated to whole milliseconds turns the last
+  // sub-millisecond before every timer into a spin of zero-timeout polls.
   const TimePoint now = Clock::now();
   TimePoint wake = now + timeout;
   if (!timers_.empty()) wake = std::min(wake, timers_.begin()->first);
-  const auto wait =
-      std::chrono::duration_cast<std::chrono::milliseconds>(wake - now);
-  const int wait_ms = static_cast<int>(std::max<std::int64_t>(
-      0, std::min<std::int64_t>(wait.count(), 60'000)));
+  const auto wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::clamp<Duration>(wake - now, Duration::zero(),
+                                                std::chrono::seconds(60)))
+                           .count();
+  const timespec wait{static_cast<std::time_t>(wait_ns / 1'000'000'000),
+                      static_cast<long>(wait_ns % 1'000'000'000)};
 
   std::vector<pollfd> fds;
   fds.reserve(watches_.size());
@@ -60,13 +67,20 @@ bool EventLoop::poll_once(Duration timeout) {
     fds.push_back(pollfd{fd, events, 0});
   }
 
-  ::poll(fds.data(), fds.size(), wait_ms);
+  ::ppoll(fds.data(), fds.size(), &wait, nullptr);
 
   // Fire expired timers first (they may unwatch fds).
   const TimePoint after = Clock::now();
   while (!timers_.empty() && timers_.begin()->first <= after) {
     auto node = timers_.extract(timers_.begin());
     timer_index_.erase(node.mapped().id);
+    if (lag_ != nullptr) {
+      // Read per timer, not `after`: a timer queued behind a slow
+      // callback in this same batch is late by that callback too.
+      lag_->observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - node.key())
+                        .count());
+    }
     node.mapped().cb();
     if (stopped()) return true;
   }

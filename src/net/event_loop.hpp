@@ -1,4 +1,4 @@
-// Single-threaded poll(2) reactor with monotonic timers. One loop
+// Single-threaded ppoll(2) reactor with monotonic timers. One loop
 // drives one LiveNode (listener + all its peer links); nodes never
 // share a loop, so no state in this layer needs locking. This is the
 // real-time counterpart of sim::Simulator: timers instead of scheduled
@@ -21,6 +21,10 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
+
+namespace zlb::obs {
+class Histogram;
+}  // namespace zlb::obs
 
 namespace zlb::net {
 
@@ -70,6 +74,10 @@ class EventLoop {
   /// timer counts, sampled into queue-depth gauges.
   [[nodiscard]] std::size_t watch_count() const { return watches_.size(); }
   [[nodiscard]] std::size_t timer_count() const { return timers_.size(); }
+  /// Records each fired timer's lateness (the time its callback starts
+  /// minus its due time) in nanoseconds into `lag`; null = not recorded.
+  /// Set before run(); the histogram must outlive the loop's runs.
+  void set_lag_histogram(obs::Histogram* lag) { lag_ = lag; }
 
  private:
   struct Watch {
@@ -85,6 +93,7 @@ class EventLoop {
   std::multimap<TimePoint, Timer> timers_;
   std::unordered_map<TimerId, TimePoint> timer_index_;
   TimerId next_timer_ = 1;
+  obs::Histogram* lag_ = nullptr;
   std::atomic<bool> stopped_{false};
 };
 

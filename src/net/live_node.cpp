@@ -265,6 +265,11 @@ void LiveNode::register_metrics() {
                     "Pending timers in the event loop", [this] {
                       return static_cast<std::int64_t>(loop_.timer_count());
                     });
+  loop_.set_lag_histogram(&metrics_.histogram(
+      "zlb_event_loop_lag_seconds",
+      "Lateness of each fired event-loop timer (callback start minus due "
+      "time)",
+      1e-9));
 
   // Mempool: occupancy and reject causes.
   metrics_.gauge_fn("zlb_mempool_size", "Transactions queued for proposal",
@@ -668,27 +673,29 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   // ahead) bounds what one forged vote per index can make every honest
   // node broadcast.
   constexpr InstanceId kProposeAheadWindow = 64;
-  const InstanceId drain_window =
-      config_.real_blocks ? std::max<InstanceId>(1, config_.pipeline_window)
-                          : 1;
   const InstanceId frontier =
       std::max(current_, epoch_spans_.empty() ? InstanceId{0}
                                               : epoch_spans_.back().first);
   if (active_ && !membership_running_ && k >= current_ &&
       k < frontier + kProposeAheadWindow) {
-    raw->propose(payload_for(k, /*drain_mempool=*/k < current_ + drain_window),
+    const bool in_window = k < current_ + window();
+    raw->propose(payload_for(k, /*drain_mempool=*/in_window),
                  /*extra_wire=*/0, /*tx_count=*/1, /*verify_units=*/1);
     tracer_->mark(e, k, obs::Phase::kPropose);
+    // A proposal inside the window is an opening, whether this node's
+    // pacer asked for it or a peer's frame did: following a peer
+    // restarts the pacer, so n pacers do not open n times the rate.
+    if (in_window) note_opening();
   }
   return raw;
 }
 
-void LiveNode::start_instance(InstanceId k) {
-  if (!active_ || membership_running_) return;
-  Engine* engine = get_or_create(k);
-  if (engine == nullptr || engine->has_decided() || engine->has_proposed()) {
-    return;
-  }
+bool LiveNode::start_instance(InstanceId k) {
+  if (!active_ || membership_running_) return false;
+  const bool existed = engines_.count(k) != 0;
+  Engine* engine = get_or_create(k);  // a new engine proposes on creation
+  if (engine == nullptr || engine->has_decided()) return false;
+  if (engine->has_proposed()) return !existed;
   ZLB_RTRACE("[%u] start_instance k=%llu epoch=%u", config_.me,
              static_cast<unsigned long long>(k), engine->epoch());
   // payload_for only after the proposed-check: it drains the mempool,
@@ -698,20 +705,51 @@ void LiveNode::start_instance(InstanceId k) {
   engine->propose(payload, /*extra_wire=*/0,
                   /*tx_count=*/1, /*verify_units=*/1);
   tracer_->mark(engine->epoch(), k, obs::Phase::kPropose);
+  note_opening();
+  return true;
 }
 
-void LiveNode::start_window() {
-  // The concurrent-instances frontier: consensus runs for every
-  // instance in the window while the commit pipeline decodes, verifies
-  // and applies the decided ones below — instead of one instance at a
-  // time gated on its own decision. start_instance is idempotent
-  // (proposed/decided engines are skipped).
-  const InstanceId window =
-      config_.real_blocks ? std::max<InstanceId>(1, config_.pipeline_window)
-                          : 1;
+void LiveNode::pace() {
+  // The concurrent-instances frontier: consensus runs for up to a
+  // window of instances while the commit pipeline decodes, verifies and
+  // applies the decided ones below. Paced, the openings are staggered
+  // one step apart, so every block carries about a step of every
+  // node's transactions. Opening the whole window at once would make
+  // its instances decide, and reopen, together: the first block of each
+  // group would drain the mempool and the rest would go out empty.
+  if (!active_ || membership_running_ || current_ >= config_.instances) {
+    return;
+  }
+  if (paced()) {
+    if (pacer_) return;  // a tick is already due
+    const Duration wait = last_open_ + pace_step() - Clock::now();
+    if (wait > Duration::zero()) {
+      arm_pacer(wait);
+      return;
+    }
+  }
+  // Paced, one opening: start_instance re-arms the pacer through
+  // note_opening, and nothing to open means the window is full — the
+  // next decision calls pace() again.
   const InstanceId hi =
-      std::min<InstanceId>(config_.instances, current_ + window);
-  for (InstanceId k = current_; k < hi; ++k) start_instance(k);
+      std::min<InstanceId>(config_.instances, current_ + window());
+  for (InstanceId k = current_; k < hi; ++k) {
+    if (start_instance(k) && paced()) return;
+  }
+}
+
+void LiveNode::note_opening() {
+  if (!paced()) return;
+  last_open_ = Clock::now();
+  arm_pacer(pace_step());
+}
+
+void LiveNode::arm_pacer(Duration delay) {
+  if (pacer_) loop_.cancel(*pacer_);
+  pacer_ = loop_.schedule(delay, [this]() {
+    pacer_.reset();
+    pace();
+  });
 }
 
 void LiveNode::on_decided(InstanceId k) {
@@ -800,25 +838,17 @@ void LiveNode::on_decided(InstanceId k) {
     }
     return;
   }
-  // Advance past every already-decided index and propose in the next
-  // open instance (instances can decide out of order when a quorum
-  // finishes without our proposal).
+  // Advance past every already-decided index (instances can decide out
+  // of order when a quorum finishes without our proposal); the window
+  // has room again, so the pacer opens the next instance when its step
+  // is up. During a membership change pace() is a no-op: the pipeline
+  // resumes after the epoch switch.
   while (current_ < config_.instances) {
     const auto it = engines_.find(current_);
     if (it == engines_.end() || !it->second->has_decided()) break;
     ++current_;
   }
-  if (membership_running_) return;  // resumes after the epoch switch
-  if (current_ < config_.instances) {
-    if (config_.real_blocks && config_.block_interval > Duration::zero()) {
-      // Give clients a window to fill the next block.
-      loop_.schedule(config_.block_interval, [this]() {
-        if (!membership_running_) start_window();
-      });
-    } else {
-      start_window();
-    }
-  }
+  pace();
 }
 
 InstanceId LiveNode::decision_floor() const {
@@ -1253,6 +1283,7 @@ void LiveNode::on_exclusion_decided(const Key& key, Engine& engine) {
     // back, and if every replica froze before proposing the cursor
     // instance, nobody would ever open it again.
     if (current_ < config_.instances) start_instance(current_);
+    pace();
     // Still fd proven culprits in the committee? Retry immediately.
     maybe_start_membership();
     return;
@@ -1434,6 +1465,7 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
     ++current_;
   }
   if (current_ < config_.instances) start_instance(current_);
+  pace();
   {
     const common::MutexLock lock(decisions_mutex_);
     if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
@@ -1618,6 +1650,7 @@ void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
   // for the new epoch creates engines on demand.
   if (!membership_running_ && current_ < config_.instances) {
     start_instance(std::max(current_, decision_floor()));
+    pace();
     const common::MutexLock lock(decisions_mutex_);
     if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
   }
@@ -2126,9 +2159,7 @@ void LiveNode::install_snapshot_bytes(const Bytes& bytes) {
   if (pipeline_ != nullptr) pipeline_->settle_to(snap.upto);
   // Participate from the watermark on: the tail either decides with us
   // or arrives by wire replay once our (now much higher) floor stalls.
-  if (!all_decided() && current_ < config_.instances) {
-    start_window();
-  }
+  if (!all_decided() && current_ < config_.instances) pace();
 }
 
 void LiveNode::on_frame(ReplicaId from, BytesView data) {
@@ -2316,7 +2347,7 @@ void LiveNode::run(Duration deadline) {
     if (epoch_ > 0) retarget_transport();
   }
   transport_.start();
-  if (active_) start_window();
+  pace();  // paced: opens the cursor instance only
   if (config_.resync_interval > Duration::zero()) {
     loop_.schedule(config_.resync_interval, [this]() { resync_tick(); });
   }

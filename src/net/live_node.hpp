@@ -84,8 +84,17 @@ struct LiveNodeConfig {
   /// and a client gateway accepts signed transactions over TCP.
   bool real_blocks = false;
   std::uint16_t client_port = 0;  ///< gateway port (0 = ephemeral)
-  /// Payment mode: pause between a decision and the next proposal so
-  /// client transactions can accumulate into the next block.
+  /// Payment mode: instance pacing. The node opens ONE new instance
+  /// every block_interval / pipeline_window, so each block carries about
+  /// that long's worth of client transactions, and keeps at most
+  /// pipeline_window instances undecided: with the window full, the next
+  /// opening waits for a decision. Proposing in an instance a peer
+  /// opened counts as an opening and restarts the node's pacer, so the
+  /// committee follows whichever pacer fires first instead of opening n
+  /// times as many instances. With pipeline_window = 1 the next instance
+  /// opens once the previous one decided AND block_interval has passed
+  /// since the last opening. Zero = open every instance of the window
+  /// immediately (as outside payment mode).
   Duration block_interval = std::chrono::milliseconds(100);
   /// Payment mode: durable block journal path ("" = in-memory only).
   /// Existing records are replayed into the BlockManager at startup;
@@ -130,12 +139,13 @@ struct LiveNodeConfig {
   std::size_t down_link_buffer_bytes = 1u << 20;
   /// Transactions drained into one proposed block.
   std::size_t max_block_txs = 4096;
-  /// Payment mode: regular SBC instances kept in flight concurrently.
-  /// The node proposes (and drains the mempool for) every instance in
-  /// [cursor, cursor + pipeline_window) instead of waiting for each
-  /// decision before opening the next — consensus for instance k+1
-  /// overlaps the decode/verify/apply of instance k inside the commit
-  /// pipeline. 1 restores the strict propose-after-decide cadence.
+  /// Payment mode: the most regular SBC instances kept undecided at
+  /// once. The node proposes (and drains the mempool for) instances in
+  /// [cursor, cursor + pipeline_window), opened one at a time at the
+  /// pace block_interval sets, instead of waiting for each decision
+  /// before opening the next — consensus for instance k+1 overlaps the
+  /// decode/verify/apply of instance k inside the commit pipeline. 1
+  /// restores the strict propose-after-decide cadence.
   InstanceId pipeline_window = 4;
   /// Commit-pipeline verify-stage worker threads (the thread pool the
   /// decoded blocks' ECDSA batch verification fans across). 0 =
@@ -339,10 +349,31 @@ class LiveNode {
   using Engine = consensus::SbcEngine;
   using Key = consensus::InstanceKey;
 
-  void start_instance(InstanceId k) EXCLUDES(decisions_mutex_);
-  /// Opens every instance in [cursor, cursor + pipeline_window): the
-  /// concurrent-instances frontier (window 1 outside payment mode).
-  void start_window() EXCLUDES(decisions_mutex_);
+  /// Proposes in instance `k`; true iff this call made the proposal.
+  bool start_instance(InstanceId k) EXCLUDES(decisions_mutex_);
+  /// Opens instances of the window [cursor, cursor + pipeline_window)
+  /// (window 1 outside payment mode). Unpaced (see block_interval): all
+  /// of them now. Paced: the lowest unproposed one once a pacing step
+  /// has passed since the last opening, else the pacer is armed for the
+  /// rest of the step; a full window waits for the next decision.
+  void pace() EXCLUDES(decisions_mutex_);
+  /// This node proposed in an instance of its window (its own opening
+  /// or following a peer's): restarts the pacer one step from now.
+  void note_opening();
+  /// (Re)schedules the pacer's tick `delay` from now.
+  void arm_pacer(Duration delay);
+  /// Paced: the spacing of openings, block_interval / pipeline_window.
+  [[nodiscard]] Duration pace_step() const {
+    return config_.block_interval / static_cast<std::int64_t>(window());
+  }
+  [[nodiscard]] bool paced() const {
+    return config_.real_blocks && config_.block_interval > Duration::zero();
+  }
+  [[nodiscard]] InstanceId window() const {
+    return config_.real_blocks
+               ? std::max<InstanceId>(1, config_.pipeline_window)
+               : 1;
+  }
   Engine* get_or_create(InstanceId k) EXCLUDES(decisions_mutex_);
   void on_frame(ReplicaId from, BytesView data) EXCLUDES(decisions_mutex_);
   void on_decided(InstanceId k) EXCLUDES(decisions_mutex_);
@@ -543,6 +574,10 @@ class LiveNode {
 
   std::map<InstanceId, std::unique_ptr<Engine>> engines_;
   InstanceId current_ = 0;
+  /// Paced openings (see LiveNodeConfig::block_interval): the pending
+  /// pacer tick, if armed, and when this node last opened an instance.
+  std::optional<EventLoop::TimerId> pacer_;
+  TimePoint last_open_{};
   /// 1 + highest locally decided/settled index (decision_ceiling()'s
   /// O(1) cursor; the engines map must not be scanned per decide).
   InstanceId decided_ceiling_ = 0;

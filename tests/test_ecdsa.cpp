@@ -326,6 +326,23 @@ TEST(SignatureScheme, EcdsaSchemeRoundtrip) {
                             BytesView(sig.data(), sig.size())));
   EXPECT_FALSE(scheme.verify(8, BytesView(msg.data(), msg.size()),
                              BytesView(sig.data(), sig.size())));
+  // Signers 7 and 8 now have cached keys: the cached path must give the
+  // same verdicts and keep rejecting tampering and high-s copies.
+  EXPECT_TRUE(scheme.verify(7, BytesView(msg.data(), msg.size()),
+                            BytesView(sig.data(), sig.size())));
+  EXPECT_FALSE(scheme.verify(8, BytesView(msg.data(), msg.size()),
+                             BytesView(sig.data(), sig.size())));
+  const Bytes tampered = to_bytes("protocol messagf");
+  EXPECT_FALSE(scheme.verify(7, BytesView(tampered.data(), tampered.size()),
+                             BytesView(sig.data(), sig.size())));
+  const auto parsed = Signature::from_bytes(BytesView(sig.data(), sig.size()));
+  ASSERT_TRUE(parsed.has_value());
+  const Signature high{parsed->r, sub_mod(U256(), parsed->s, curve().n)};
+  const auto high_raw = high.to_bytes();
+  EXPECT_FALSE(scheme.verify(7, BytesView(msg.data(), msg.size()),
+                             BytesView(high_raw.data(), high_raw.size())));
+  EXPECT_TRUE(scheme.verify(7, BytesView(msg.data(), msg.size()),
+                            BytesView(sig.data(), sig.size())));
 }
 
 TEST(SignatureScheme, SimSchemeBehavesLikeSignatures) {

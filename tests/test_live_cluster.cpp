@@ -2,9 +2,15 @@
 // same SbcEngine the simulator uses, but each replica is its own
 // thread with its own event loop, loopback listener and ECDSA key.
 // These tests check SBC termination / agreement / nontriviality on the
-// real wire path (serialization, framing, partial reads, signatures).
+// real wire path (serialization, framing, partial reads, signatures),
+// and the payment-mode pacing of instance openings.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+
+#include "chain/wallet.hpp"
+#include "net/client_gateway.hpp"
 #include "net/live_node.hpp"
 
 namespace zlb::net {
@@ -87,6 +93,153 @@ TEST(LiveCluster, TransportCarriedRealTraffic) {
   EXPECT_GT(stats.frames_sent, 0u);
   EXPECT_GT(stats.frames_received, 0u);
   EXPECT_GT(stats.bytes_sent, 0u);
+}
+
+// --- paced openings (payment mode) ----------------------------------
+
+LiveNodeConfig paced_config(Duration block_interval) {
+  LiveNodeConfig cfg;
+  cfg.instances = 1'000'000;  // the tests stop the nodes themselves
+  cfg.use_ecdsa = false;      // protocol signatures; tx signatures stay ECDSA
+  cfg.real_blocks = true;
+  cfg.block_interval = block_interval;
+  return cfg;
+}
+
+/// Runs the cluster on a worker thread; stops and joins on any exit
+/// path (early ASSERT returns included).
+class ClusterRunner {
+ public:
+  ClusterRunner(LiveCluster& cluster, Duration deadline)
+      : cluster_(cluster),
+        thread_([&cluster, deadline] { cluster.run(deadline); }) {}
+  ~ClusterRunner() { stop(); }
+  void stop() {
+    if (!thread_.joinable()) return;
+    for (std::size_t i = 0; i < cluster_.size(); ++i) cluster_.node(i).stop();
+    thread_.join();
+  }
+
+ private:
+  LiveCluster& cluster_;
+  std::thread thread_;
+};
+
+bool wait_for(const std::function<bool()>& done, Duration budget) {
+  const auto deadline = Clock::now() + budget;
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(5ms);
+  }
+  return true;
+}
+
+TEST(LivePacing, StartOpensOnlyTheCursorInstance) {
+  // One opening per block_interval / pipeline_window = 10 s: long after
+  // the first instance decided, nothing else may have opened (a node
+  // opening its whole window at start would decide instances 0..3).
+  LiveCluster cluster(4, paced_config(40s));
+  ClusterRunner runner(cluster, 60s);
+  ASSERT_TRUE(wait_for(
+      [&] {
+        for (std::size_t i = 0; i < cluster.size(); ++i) {
+          if (cluster.node(i).decided_count() == 0) return false;
+        }
+        return true;
+      },
+      15s));
+  std::this_thread::sleep_for(300ms);
+  runner.stop();
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const auto decisions = cluster.node(i).decisions();
+    ASSERT_EQ(decisions.size(), 1u) << "node " << i;
+    EXPECT_EQ(decisions[0].index, 0u) << "node " << i;
+  }
+}
+
+TEST(LivePacing, LoadedInstancesCarryTransactions) {
+  // One transaction every 25 ms, round-robin over the gateways, against
+  // one opening every 200 ms / 4 = 50 ms: staggered openings put
+  // transactions in most instances. Lockstep lanes (the whole window
+  // opened, decided and reopened together) left 3 of 4 blocks empty.
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kTxs = 120;
+  chain::Wallet payer(to_bytes("pacing-payer"));
+  chain::Wallet sink(to_bytes("pacing-sink"));
+  LiveCluster cluster(kNodes, paced_config(200ms));
+  chain::UtxoSet genesis;
+  for (std::size_t c = 0; c < kTxs; ++c) {
+    genesis.mint(payer.address(), 10);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      cluster.node(i).block_manager().utxos().mint(payer.address(), 10);
+    }
+  }
+  std::vector<chain::Transaction> txs;
+  for (const auto& coin : genesis.owned_by(payer.address())) {
+    txs.push_back(payer.pay_from({coin}, sink.address(), 10));
+  }
+  ASSERT_EQ(txs.size(), kTxs);
+
+  ClusterRunner runner(cluster, 120s);
+  std::vector<GatewayClient> clients;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    std::optional<GatewayClient> c;
+    ASSERT_TRUE(wait_for(
+        [&] { return (c = GatewayClient::connect(cluster.node(i).client_port()))
+                         .has_value(); },
+        15s));
+    clients.push_back(std::move(*c));
+  }
+  ASSERT_TRUE(
+      wait_for([&] { return cluster.node(0).decided_count() >= 2; }, 15s));
+
+  const std::size_t first = cluster.node(0).decisions().size();
+  const auto start = Clock::now();
+  for (std::size_t t = 0; t < kTxs; ++t) {
+    std::this_thread::sleep_until(start + t * 25ms);
+    const auto ack = clients[t % kNodes].submit(txs[t]);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(*ack, SubmitStatus::kAccepted);
+  }
+  const std::size_t last = cluster.node(0).decisions().size();
+  runner.stop();
+
+  // Instances node 0 decided while the load ran, and how many of them
+  // committed a block carrying a transaction.
+  const auto decisions = cluster.node(0).decisions();
+  const chain::BlockStore& store = cluster.node(0).block_manager().store();
+  std::size_t carrying = 0;
+  for (std::size_t d = first; d < last; ++d) {
+    for (const auto& id : store.at_index(decisions[d].index)) {
+      const chain::Block* block = store.get(id);
+      if (block != nullptr && !block->txs.empty()) {
+        ++carrying;
+        break;
+      }
+    }
+  }
+  const std::size_t decided = last - first;
+  ASSERT_GE(decided, 20u);
+  EXPECT_GE(carrying * 10, decided * 6)
+      << carrying << " of " << decided << " instances carried a transaction";
+}
+
+TEST(LivePacing, WindowOfOneDecidesInOrder) {
+  // pipeline_window = 1: the next instance opens once the previous one
+  // decided and block_interval passed since the last opening.
+  LiveNodeConfig cfg = paced_config(30ms);
+  cfg.pipeline_window = 1;
+  cfg.instances = 8;
+  LiveCluster cluster(4, cfg);
+  ASSERT_TRUE(cluster.run(60s));
+  expect_agreement(cluster, cfg.instances);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const auto decisions = cluster.node(i).decisions();
+    ASSERT_EQ(decisions.size(), cfg.instances) << "node " << i;
+    for (std::size_t k = 0; k < decisions.size(); ++k) {
+      EXPECT_EQ(decisions[k].index, k) << "node " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -142,18 +142,24 @@ TEST(MetricsSmoke, LiveClusterScrapeHasCoreSeries) {
         "zlb_consensus_rounds_total", "zlb_epoch",
         "zlb_block_verify_seconds", "zlb_block_apply_seconds",
         "zlb_decide_latency_seconds", "zlb_e2e_latency_seconds",
-        "zlb_decide_phase_latency_seconds", "zlb_event_loop_watches"}) {
+        "zlb_decide_phase_latency_seconds", "zlb_event_loop_watches",
+        "zlb_event_loop_lag_seconds"}) {
     EXPECT_NE(text.find(series), std::string::npos) << series;
   }
-  // The decide-latency histogram must have real observations.
-  const auto count_pos = text.find("zlb_decide_latency_seconds_count ");
-  ASSERT_NE(count_pos, std::string::npos);
-  std::uint64_t decide_count = 0;
-  ASSERT_EQ(std::sscanf(text.c_str() + count_pos,
-                        "zlb_decide_latency_seconds_count %" SCNu64,
-                        &decide_count),
-            1);
-  EXPECT_GT(decide_count, 0u) << "decide latency histogram is empty";
+  // The decide-latency and loop-lag histograms must have real
+  // observations (every fired timer records its lateness).
+  for (const std::string hist :
+       {"zlb_decide_latency_seconds", "zlb_event_loop_lag_seconds"}) {
+    const std::string key = hist + "_count ";
+    const auto count_pos = text.find(key);
+    ASSERT_NE(count_pos, std::string::npos) << hist;
+    std::uint64_t count = 0;
+    ASSERT_EQ(std::sscanf(text.c_str() + count_pos + key.size(),
+                          "%" SCNu64, &count),
+              1)
+        << hist;
+    EXPECT_GT(count, 0u) << hist << " histogram is empty";
+  }
 
   // JSON snapshot; optionally archived as a CI artifact.
   const auto json = http_get(cluster.node(0).metrics_port(), "/metrics.json");

@@ -12,6 +12,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
+#include "obs/metrics.hpp"
 
 namespace zlb::net {
 namespace {
@@ -156,6 +157,41 @@ TEST(EventLoop, RunReturnsWhenNothingRemains) {
   loop.schedule(std::chrono::milliseconds(1), [&] { ++fired; });
   loop.run();  // must not hang once the only timer fired
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EventLoop, TimerWaitDoesNotSpin) {
+  // The wait before a timer runs at full resolution: a wait truncated
+  // to whole milliseconds spins zero-timeout polls through the last
+  // sub-millisecond before every deadline.
+  EventLoop loop;
+  bool fired = false;
+  loop.schedule(std::chrono::milliseconds(20), [&] { fired = true; });
+  int polls = 0;
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (!fired && Clock::now() < deadline) {
+    loop.poll_once(std::chrono::milliseconds(100));
+    ++polls;
+  }
+  EXPECT_TRUE(fired);
+  EXPECT_LE(polls, 5);
+}
+
+TEST(EventLoop, LagHistogramRecordsTimerLateness) {
+  obs::Registry registry;
+  obs::Histogram& lag =
+      registry.histogram("zlb_event_loop_lag_seconds", "lag", 1e-9);
+  EventLoop loop;
+  loop.set_lag_histogram(&lag);
+  loop.schedule(std::chrono::milliseconds(1), [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  });
+  loop.schedule(std::chrono::milliseconds(1), [] {});
+  loop.run();
+  const obs::HistogramSnapshot snap = lag.snapshot();
+  ASSERT_EQ(snap.count, 2u);
+  // The second timer waited behind the first one's 25 ms callback.
+  EXPECT_GE(snap.sum, 20'000'000);
+  EXPECT_GE(snap.quantile(1.0), 20e6);
 }
 
 TEST(Socket, ListenOnEphemeralPortReportsIt) {
