@@ -37,7 +37,7 @@ struct RunResult {
 /// node thread outlive the LiveNode it runs on (or std::terminate in
 /// ~thread). While the threads run, the harness only observes the
 /// nodes through their thread-safe surface: the atomic epoch()/
-/// decided_count() and the decisions_mutex_-guarded reconfig_stats().
+/// decided_count() and single metric reads through Registry::find.
 class ClusterRun {
  public:
   explicit ClusterRun(std::vector<std::unique_ptr<zlb::net::LiveNode>>& nodes)
@@ -123,10 +123,14 @@ RunResult run_once() {
       std::this_thread::sleep_for(2ms);
     }
     res.resume_ms = ms_since(t0);
-    const auto stats = nodes[0]->reconfig_stats();
-    res.detect_ms = stats.detect_ms;
-    res.exclude_ms = stats.exclude_ms;
-    res.include_ms = stats.include_ms;
+    const obs::Registry& m = nodes[0]->metrics();
+    const auto phase_ms = [&m](const char* phase) {
+      return m.find<obs::Gauge>("zlb_reconfig_phase_ms", {{"phase", phase}})
+          .value();
+    };
+    res.detect_ms = phase_ms("detect");
+    res.exclude_ms = phase_ms("exclude");
+    res.include_ms = phase_ms("include");
   }
   return res;  // ~ClusterRun stops and joins every node thread
 }

@@ -91,13 +91,21 @@ int main() {
   for (auto& node : nodes) node->stop();
   for (auto& t : threads) t.join();
 
-  const auto stats = nodes[4]->sync_stats();
-  std::printf("   snapshot installed: %llu (watermark %llu)\n",
-              static_cast<unsigned long long>(stats.snapshots_installed),
-              static_cast<unsigned long long>(stats.installed_upto));
-  std::printf("   chunks pulled: %llu, manifests adopted: %llu\n",
-              static_cast<unsigned long long>(stats.fetch.chunks_received),
-              static_cast<unsigned long long>(stats.fetch.manifests_adopted));
+  const obs::Registry& joiner = nodes[4]->metrics();
+  std::printf(
+      "   snapshot installed: %llu (watermark %lld)\n",
+      static_cast<unsigned long long>(
+          joiner.find<obs::Counter>("zlb_sync_snapshots_installed_total")
+              .value()),
+      static_cast<long long>(
+          joiner.find<obs::Gauge>("zlb_sync_installed_upto").value()));
+  std::printf(
+      "   chunks pulled: %llu, manifests adopted: %llu\n",
+      static_cast<unsigned long long>(
+          joiner.find<obs::Counter>("zlb_sync_chunks_received_total").value()),
+      static_cast<unsigned long long>(
+          joiner.find<obs::Counter>("zlb_sync_manifests_adopted_total")
+              .value()));
   std::printf("   joiner bob balance: %lld (veteran: %lld)\n",
               static_cast<long long>(nodes[4]->balance(bob.address())),
               static_cast<long long>(nodes[0]->balance(bob.address())));

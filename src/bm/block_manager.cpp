@@ -164,26 +164,10 @@ BlockManager::ApplyResult BlockManager::apply_verified(
 
 std::size_t BlockManager::commit_block(const chain::Block& block,
                                        bool verify_sigs) {
-  const auto stamp = [this]() {
-    return obs_clock_ != nullptr ? obs_clock_->nanos() : 0;
-  };
-  const std::int64_t t_start = stamp();
   std::vector<std::uint8_t> sig_ok;
   if (verify_sigs) sig_ok = batch_verify_block(block);
-  const std::int64_t t_verified = stamp();
   const ApplyResult res = apply_verified(block, sig_ok);
-  const std::int64_t t_applied = stamp();
   journal_append(block, res.was_new);
-  if (obs_clock_ != nullptr) {
-    const std::int64_t t_journaled = stamp();
-    if (verify_hist_ != nullptr && verify_sigs) {
-      verify_hist_->observe(t_verified - t_start);
-    }
-    if (apply_hist_ != nullptr) apply_hist_->observe(t_applied - t_verified);
-    if (fsync_hist_ != nullptr && journaling()) {
-      fsync_hist_->observe(t_journaled - t_applied);
-    }
-  }
   return res.applied;
 }
 

@@ -12,8 +12,6 @@
 #include "chain/journal.hpp"
 #include "chain/store.hpp"
 #include "chain/utxo.hpp"
-#include "common/clock.hpp"
-#include "obs/metrics.hpp"
 #include "sync/snapshot.hpp"
 
 namespace zlb::common {
@@ -144,20 +142,6 @@ class BlockManager {
     return inputs_deposit_;
   }
 
-  /// Observability: per-commit timing of the batch-verify, apply, and
-  /// journal-fsync stages. Time flows through the injected clock only
-  /// (deterministic harnesses pass a ManualClock or nothing); null
-  /// clock disables measurement entirely.
-  void set_observability(const common::Clock* clock,
-                         obs::Histogram* verify_seconds,
-                         obs::Histogram* apply_seconds,
-                         obs::Histogram* fsync_seconds) {
-    obs_clock_ = clock;
-    verify_hist_ = verify_seconds;
-    apply_hist_ = apply_seconds;
-    fsync_hist_ = fsync_seconds;
-  }
-
   /// Looks up the value of any output ever committed (needed to price a
   /// conflicting input whose UTXO was already consumed).
   [[nodiscard]] std::optional<chain::Amount> output_value(
@@ -234,10 +218,6 @@ class BlockManager {
   std::optional<InstanceId> change_base_;
   std::vector<std::pair<InstanceId, std::uint32_t>> epoch_spans_;
   MergeStats stats_;
-  const common::Clock* obs_clock_ = nullptr;
-  obs::Histogram* verify_hist_ = nullptr;
-  obs::Histogram* apply_hist_ = nullptr;
-  obs::Histogram* fsync_hist_ = nullptr;
 };
 
 }  // namespace zlb::bm

@@ -7,8 +7,19 @@
 namespace zlb::net {
 
 ClientGateway::ClientGateway(EventLoop& loop, std::uint16_t port,
-                             SubmitHandler handler)
+                             obs::Registry& metrics, SubmitHandler handler)
     : loop_(loop), handler_(std::move(handler)) {
+  const std::pair<SubmitStatus, const char*> statuses[] = {
+      {SubmitStatus::kAccepted, "accepted"},
+      {SubmitStatus::kMalformed, "malformed"},
+      {SubmitStatus::kRejected, "rejected"},
+  };
+  for (const auto& [status, label] : statuses) {
+    replies_[static_cast<std::size_t>(status)] = &metrics.counter(
+        "zlb_gateway_submissions_total",
+        "Client submissions answered, by reply status",
+        {{"status", label}});
+  }
   auto bound = listen_loopback(port);
   if (!bound) return;
   listener_ = std::move(bound->first);
@@ -28,7 +39,6 @@ void ClientGateway::on_listener_ready() {
   for (;;) {
     auto fd = accept_connection(listener_);
     if (!fd) return;
-    stats_.connections += 1;
     const int raw = fd->get();
     conns_.emplace(raw, Conn{std::move(*fd), FrameDecoder{}, {}, 0});
     loop_.watch(raw, Interest{true, false},
@@ -40,6 +50,7 @@ void ClientGateway::on_listener_ready() {
 
 void ClientGateway::reply(Conn& conn, SubmitStatus status) {
   const std::uint8_t byte = static_cast<std::uint8_t>(status);
+  replies_[byte]->inc();
   append_frame(conn.outbuf, BytesView(&byte, 1));
 }
 
@@ -61,19 +72,15 @@ void ClientGateway::on_conn_event(int fd, bool readable, bool writable) {
             Reader r(payload);
             const chain::Transaction tx = chain::Transaction::deserialize(r);
             if (!r.done() || !tx.well_formed()) {
-              stats_.malformed += 1;
               reply(conn, SubmitStatus::kMalformed);
               return;
             }
             if (handler_ && handler_(tx)) {
-              stats_.accepted += 1;
               reply(conn, SubmitStatus::kAccepted);
             } else {
-              stats_.rejected += 1;
               reply(conn, SubmitStatus::kRejected);
             }
           } catch (const DecodeError&) {
-            stats_.malformed += 1;
             reply(conn, SubmitStatus::kMalformed);
           }
         });

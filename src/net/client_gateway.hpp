@@ -7,6 +7,7 @@
 // rejected) so wallets can retry elsewhere.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <unordered_map>
 
@@ -14,6 +15,7 @@
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 
 namespace zlb::net {
 
@@ -23,20 +25,17 @@ enum class SubmitStatus : std::uint8_t {
   kRejected = 3,  ///< structurally valid but refused (e.g. queue full)
 };
 
-struct GatewayStats {
-  std::uint64_t connections = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t malformed = 0;
-  std::uint64_t rejected = 0;
-};
-
 class ClientGateway {
  public:
   /// Decides whether to accept a structurally valid transaction
   /// (typically: enqueue into the node's mempool and return true).
   using SubmitHandler = std::function<bool(const chain::Transaction&)>;
 
-  ClientGateway(EventLoop& loop, std::uint16_t port, SubmitHandler handler);
+  /// Counts every answered submission into `metrics`, by reply status
+  /// (zlb_gateway_submissions_total{status}); `metrics` must outlive
+  /// the gateway.
+  ClientGateway(EventLoop& loop, std::uint16_t port, obs::Registry& metrics,
+                SubmitHandler handler);
   ~ClientGateway();
 
   ClientGateway(const ClientGateway&) = delete;
@@ -44,7 +43,6 @@ class ClientGateway {
 
   [[nodiscard]] bool listening() const { return listener_.valid(); }
   [[nodiscard]] std::uint16_t local_port() const { return port_; }
-  [[nodiscard]] const GatewayStats& stats() const { return stats_; }
 
  private:
   struct Conn {
@@ -57,6 +55,7 @@ class ClientGateway {
   void on_listener_ready();
   void on_conn_event(int fd, bool readable, bool writable);
   void drop(int fd);
+  /// Queues the one-byte ACK and counts it under its status.
   void reply(Conn& conn, SubmitStatus status);
   void update_interest(const Conn& conn);
 
@@ -65,7 +64,8 @@ class ClientGateway {
   Fd listener_;
   std::uint16_t port_ = 0;
   std::unordered_map<int, Conn> conns_;
-  GatewayStats stats_;
+  /// Submissions answered, indexed by SubmitStatus (1..3).
+  std::array<obs::Counter*, 4> replies_{};
 };
 
 /// Blocking client for wallets/tools and tests: connects to a gateway,

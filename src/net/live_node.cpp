@@ -78,7 +78,7 @@ LiveNode::LiveNode(LiveNodeConfig config)
       [this](ReplicaId from, BytesView data) { on_frame(from, data); });
   if (config_.real_blocks) {
     gateway_ = std::make_unique<ClientGateway>(
-        loop_, config_.client_port,
+        loop_, config_.client_port, metrics_,
         [this](const chain::Transaction& tx) { return accept_tx(tx); });
     sync::CheckpointConfig ckpt_cfg = config_.checkpoint;
     if (ckpt_cfg.path.empty() && ckpt_cfg.interval > 0 &&
@@ -98,13 +98,12 @@ LiveNode::LiveNode(LiveNodeConfig config)
       // can label a checkpoint without the loop thread's state.
       if (!config_.standby) bm_.note_epoch(0, 0);
     }
-    if (config_.snapshot_catchup) {
-      fetcher_ = std::make_unique<sync::SnapshotFetcher>(
-          config_.fetcher, [this](ReplicaId to, const sync::ChunkRequest& r) {
-            const Bytes msg = sync::encode_chunk_request_msg(r);
-            send_counted(to, BytesView(msg.data(), msg.size()));
-          });
-    }
+    fetcher_ = std::make_unique<sync::SnapshotFetcher>(
+        config_.fetcher, metrics_,
+        [this](ReplicaId to, const sync::ChunkRequest& r) {
+          const Bytes msg = sync::encode_chunk_request_msg(r);
+          send_counted(to, BytesView(msg.data(), msg.size()));
+        });
   }
   register_metrics();
   if (config_.real_blocks) {
@@ -301,21 +300,9 @@ void LiveNode::register_metrics() {
     return static_cast<std::int64_t>(epoch_atomic_.load());
   });
 
-  // Commit path: per-stage timing fed by the BlockManager.
   {
     const common::MutexLock lock(decisions_mutex_);
     mempool_.set_clock(&obs_clock());
-  }
-  {
-    const common::MutexLock ledger(ledger_mutex_);
-    bm_.set_observability(
-        &obs_clock(),
-        &metrics_.histogram("zlb_block_verify_seconds",
-                            "Batch signature verification per commit", 1e-9),
-        &metrics_.histogram("zlb_block_apply_seconds",
-                            "UTXO application per commit", 1e-9),
-        &metrics_.histogram("zlb_journal_fsync_seconds",
-                            "Journal append+fsync per commit", 1e-9));
   }
   checkpoint_seconds_ = &metrics_.histogram(
       "zlb_checkpoint_export_seconds",
@@ -352,77 +339,52 @@ void LiveNode::register_metrics() {
                         return pipeline_ ? pipeline_->blocks_committed() : 0;
                       });
 
-  // State sync (mutex-guarded stat blocks; cheap snapshot per render).
-  metrics_.counter_fn("zlb_sync_manifests_sent_total",
-                      "Checkpoint offers made to lagging peers", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return sync_stats_.manifests_sent;
-                      });
-  metrics_.counter_fn("zlb_sync_chunks_served_total",
-                      "Snapshot chunks served to fetching peers", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return sync_stats_.chunks_served;
-                      });
-  metrics_.counter_fn("zlb_sync_snapshots_installed_total",
-                      "Snapshots installed via network transfer", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return sync_stats_.snapshots_installed;
-                      });
-  metrics_.counter_fn("zlb_sync_chunks_received_total",
-                      "Snapshot chunks fetched, verified and new", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return fetcher_ ? fetcher_->stats().chunks_received
-                                        : 0;
-                      });
-  metrics_.counter_fn("zlb_sync_fetch_retry_rounds_total",
-                      "Stall-triggered chunk re-request rounds", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return fetcher_ ? fetcher_->stats().retry_rounds : 0;
-                      });
+  // State sync, written where it happens. The fetcher registers the
+  // series of the receiving side (zlb_sync_chunks_received_total, ...).
+  manifests_sent_ = &metrics_.counter(
+      "zlb_sync_manifests_sent_total",
+      "Checkpoint offers made to lagging peers");
+  manifests_rejected_ = &metrics_.counter(
+      "zlb_sync_manifests_rejected_total",
+      "Signed manifests refused by the epoch gate (below the join "
+      "boundary or contradicting the epoch map)");
+  chunks_served_ = &metrics_.counter(
+      "zlb_sync_chunks_served_total",
+      "Snapshot chunks served to fetching peers");
+  snapshots_installed_ = &metrics_.counter(
+      "zlb_sync_snapshots_installed_total",
+      "Snapshots installed via network transfer");
+  snapshots_rejected_ = &metrics_.counter(
+      "zlb_sync_snapshots_rejected_total",
+      "Assembled snapshots refused as undecodable after chunk verification");
+  installed_upto_ = &metrics_.gauge(
+      "zlb_sync_installed_upto",
+      "Highest snapshot watermark installed via network transfer");
 
   // Membership change: cumulative outcomes plus the detect -> exclude
   // -> include -> resume phase stamps (ms since run(), -1 = not
-  // reached), mirroring ReconfigStats for scrapers.
-  metrics_.counter_fn("zlb_reconfig_excluded_total",
-                      "Members excluded across all epochs", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return reconfig_.excluded;
-                      });
-  metrics_.counter_fn("zlb_reconfig_included_total",
-                      "Standbys admitted across all epochs", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return reconfig_.included;
-                      });
-  metrics_.counter_fn("zlb_reconfig_cross_epoch_dropped_total",
-                      "Frames rejected by the epoch gate", [this] {
-                        const common::MutexLock lock(decisions_mutex_);
-                        return reconfig_.cross_epoch_dropped;
-                      });
-  metrics_.gauge_fn("zlb_pof_culprits",
-                    "Distinct replicas proven deceitful", [this] {
-                      const common::MutexLock lock(decisions_mutex_);
-                      return static_cast<std::int64_t>(
-                          reconfig_.pof_culprits);
-                    });
-  const struct {
-    const char* phase;
-    std::int64_t LiveNode::ReconfigStats::* field;
-  } kPhases[] = {
-      {"detect", &ReconfigStats::detect_ms},
-      {"exclude", &ReconfigStats::exclude_ms},
-      {"include", &ReconfigStats::include_ms},
-      {"resume", &ReconfigStats::resume_ms},
-  };
-  for (const auto& p : kPhases) {
-    metrics_.gauge_fn(
+  // reached), each written once on the loop thread.
+  excluded_ = &metrics_.counter("zlb_reconfig_excluded_total",
+                                "Members excluded across all epochs");
+  included_ = &metrics_.counter("zlb_reconfig_included_total",
+                                "Standbys admitted across all epochs");
+  cross_epoch_dropped_ =
+      &metrics_.counter("zlb_reconfig_cross_epoch_dropped_total",
+                        "Frames rejected by the epoch gate");
+  pof_culprits_ = &metrics_.gauge("zlb_pof_culprits",
+                                  "Distinct replicas proven deceitful");
+  const auto phase_gauge = [this](const char* phase) {
+    obs::Gauge* gauge = &metrics_.gauge(
         "zlb_reconfig_phase_ms",
         "Membership-change phase stamp, ms since run() (-1 = not reached)",
-        [this, field = p.field] {
-          const common::MutexLock lock(decisions_mutex_);
-          return reconfig_.*field;
-        },
-        {{"phase", p.phase}});
-  }
+        {{"phase", phase}});
+    gauge->set(-1);
+    return gauge;
+  };
+  detect_ms_ = phase_gauge("detect");
+  exclude_ms_ = phase_gauge("exclude");
+  include_ms_ = phase_gauge("include");
+  resume_ms_ = phase_gauge("resume");
 }
 
 bool LiveNode::accept_tx(const chain::Transaction& tx) {
@@ -471,11 +433,6 @@ std::vector<ReplicaId> LiveNode::committee_members() const {
   return committee_snapshot_;
 }
 
-LiveNode::ReconfigStats LiveNode::reconfig_stats() const {
-  const common::MutexLock lock(decisions_mutex_);
-  return reconfig_;
-}
-
 void LiveNode::set_peer_ports(const std::map<ReplicaId, std::uint16_t>& ports) {
   all_ports_ = ports;
   // The transport's table is the whole universe (committee + pool): a
@@ -498,10 +455,11 @@ void LiveNode::queue_payload(Bytes payload) {
   queued_payloads_.push_back(std::move(payload));
 }
 
-std::int64_t LiveNode::ms_since_start() const {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               run_start_)
-      .count();
+void LiveNode::stamp_phase(obs::Gauge* phase) const {
+  if (phase->value() >= 0) return;  // first reach only
+  phase->set(std::chrono::duration_cast<std::chrono::milliseconds>(
+                 Clock::now() - run_start_)
+                 .count());
 }
 
 std::optional<std::uint32_t> LiveNode::epoch_of(InstanceId k) const {
@@ -648,9 +606,7 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   hooks.slot_delivered = [this, k, e](std::uint32_t) {
     tracer_->mark(e, k, obs::Phase::kDeliver);
   };
-  if (config_.reconfiguration) {
-    hooks.observe = [this](const SignedVote& v) { observe_vote(v); };
-  }
+  hooks.observe = [this](const SignedVote& v) { observe_vote(v); };
   auto engine = std::make_unique<Engine>(key, members, &epoch_live_.at(e),
                                          config_.me, *scheme_, ec,
                                          std::move(hooks));
@@ -781,8 +737,7 @@ void LiveNode::on_decided(InstanceId k) {
     // If our own slot lost its binary consensus (the proposal raced the
     // zero-phase), the drained transactions must go back into the
     // mempool for the next block — clients got an ACK for them.
-    const auto proposed = proposed_txs_.find(k);
-    if (proposed != proposed_txs_.end()) {
+    if (proposed_txs_.count(k) != 0) {
       const consensus::Committee com(epoch_members_.at(engine->epoch()));
       const int my_slot = com.slot_of(config_.me);
       const auto& bitmask = engine->bitmask();
@@ -790,16 +745,11 @@ void LiveNode::on_decided(InstanceId k) {
                             static_cast<std::size_t>(my_slot) <
                                 bitmask.size() &&
                             bitmask[static_cast<std::size_t>(my_slot)] == 1;
-      if (!included) {
-        const common::MutexLock lock(decisions_mutex_);
-        const common::MutexLock ledger(ledger_mutex_);
-        for (auto& tx : proposed->second) {
-          // readmit: these were ACKed at admission; the capacity bound
-          // must not silently drop them now.
-          if (!bm_.knows_tx(tx.id())) (void)mempool_.readmit(tx);
-        }
+      if (included) {
+        proposed_txs_.erase(k);
+      } else {
+        requeue_proposed(k);
       }
-      proposed_txs_.erase(proposed);
     }
   } else {
     // No commit pipeline: the span ends at the decision. (In payment
@@ -882,19 +832,16 @@ LiveNode::Engine* LiveNode::route_engine(ReplicaId from, const Key& key,
     if (key.epoch != *eo) {
       // Cross-epoch rejection: a vote keyed to the wrong membership
       // generation never reaches an engine.
-      const common::MutexLock lock(decisions_mutex_);
-      ++reconfig_.cross_epoch_dropped;
+      cross_epoch_dropped_->inc();
       return nullptr;
     }
     return get_or_create(key.index);
   }
-  if (!config_.reconfiguration) return nullptr;
   if (key.epoch < epoch_) return nullptr;  // settled history
   if (key.epoch > epoch_) {
     // A change we have not caught up to; the announce path heals us,
     // these votes are useless until then.
-    const common::MutexLock lock(decisions_mutex_);
-    ++reconfig_.cross_epoch_dropped;
+    cross_epoch_dropped_->inc();
     return nullptr;
   }
   const auto it = member_engines_.find(key);
@@ -1050,11 +997,7 @@ void LiveNode::note_new_pofs() {
     if (pofs_.add_pof(pof)) fresh.push_back(pof);
   }
   pending_pofs_.clear();
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    reconfig_.pof_culprits = pofs_.culprit_count();
-  }
-  if (!config_.reconfiguration) return;
+  pof_culprits_->set(static_cast<std::int64_t>(pofs_.culprit_count()));
 
   if (!fresh.empty() && active_) {
     // Alg. 1 line 26: rebroadcast the new PoFs — the unblocker that
@@ -1089,7 +1032,7 @@ void LiveNode::note_new_pofs() {
 }
 
 void LiveNode::maybe_start_membership() {
-  if (!config_.reconfiguration || !active_ || membership_running_) return;
+  if (!active_ || membership_running_) return;
   // One membership change attempt at a time: the current exclusion
   // index's engine is the tombstone (aborted rounds advance the index,
   // re-arming the trigger under a fresh key).
@@ -1102,10 +1045,7 @@ void LiveNode::maybe_start_membership() {
     if (live.contains(id)) ++in_committee;
   }
   if (in_committee < live.fd()) return;
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.detect_ms < 0) reconfig_.detect_ms = ms_since_start();
-  }
+  stamp_phase(detect_ms_);
 
   membership_running_ = true;
   ZLB_RTRACE("[%u] membership trigger: %zu culprits, floor=%llu",
@@ -1298,10 +1238,7 @@ void LiveNode::on_exclusion_decided(const Key& key, Engine& engine) {
   ZLB_RTRACE("[%u] exclusion decided: %zu culprits, boundary=%llu",
              config_.me, cons_exclude_.size(),
              static_cast<unsigned long long>(boundary));
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.exclude_ms < 0) reconfig_.exclude_ms = ms_since_start();
-  }
+  stamp_phase(exclude_ms_);
 
   // Alg. 1 line 40 + lines 23-25 retroactively: the coalition leaves
   // EVERY epoch's live committee, so stalled old-epoch instances can
@@ -1392,11 +1329,10 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
   {
     const common::MutexLock lock(decisions_mutex_);
     committee_snapshot_ = members;
-    reconfig_.epoch = new_epoch;
-    reconfig_.excluded += cons_exclude_.size();
-    reconfig_.included += chosen.size();
-    if (reconfig_.include_ms < 0) reconfig_.include_ms = ms_since_start();
   }
+  excluded_->inc(cons_exclude_.size());
+  included_->inc(chosen.size());
+  stamp_phase(include_ms_);
   {
     // The boundary enters the WAL before any new-epoch block can: blocks
     // of the new epoch only commit after instances past the boundary
@@ -1466,10 +1402,7 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
   }
   if (current_ < config_.instances) start_instance(current_);
   pace();
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
-  }
+  stamp_phase(resume_ms_);
   drain_membership_stash();
 }
 
@@ -1583,9 +1516,8 @@ void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
   {
     const common::MutexLock lock(decisions_mutex_);
     committee_snapshot_ = members;
-    reconfig_.epoch = msg.epoch;
-    if (reconfig_.include_ms < 0) reconfig_.include_ms = ms_since_start();
   }
+  stamp_phase(include_ms_);
   {
     const common::MutexLock ledger(ledger_mutex_);
     (void)bm_.journal_epoch(chain::EpochRecord{msg.epoch, msg.start_index,
@@ -1651,8 +1583,7 @@ void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
   if (!membership_running_ && current_ < config_.instances) {
     start_instance(std::max(current_, decision_floor()));
     pace();
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
+    stamp_phase(resume_ms_);
   }
   // Stale stashed membership frames of the superseded epochs drain
   // away here (route_engine now drops them); anything for the adopted
@@ -1682,7 +1613,6 @@ void LiveNode::recover_epoch_record(const chain::EpochRecord& rec) {
   epoch_ = std::max(epoch_, rec.epoch);
   epoch_atomic_.store(epoch_);
   // Called under decisions_mutex_ (the journal-replay block in run()).
-  reconfig_.epoch = epoch_;
   committee_snapshot_ = members;
   // An admitted standby that journaled its activation must come back
   // as a MEMBER: the epoch is already ours, so re-announcements are
@@ -1713,7 +1643,6 @@ void LiveNode::drain_membership_stash() {
 }
 
 void LiveNode::handle_pof_gossip(BytesView body) {
-  if (!config_.reconfiguration) return;
   std::vector<ProofOfFraud> pofs;
   try {
     pofs = consensus::decode_pofs(body);
@@ -1920,7 +1849,7 @@ void LiveNode::handle_resync_status(ReplicaId from, std::uint32_t peer_epoch,
   // offered on the FIRST report (a brand-new joiner must not have to
   // grind through history while we watch it "progress"). One manifest
   // per cooldown; the peer pulls chunks at its own pace.
-  if (config_.snapshot_catchup && ckpt_ != nullptr) {
+  if (ckpt_ != nullptr) {
     const InstanceId my_floor = decision_floor();
     const std::uint64_t interval = ckpt_->config().interval;
     const std::uint64_t deep =
@@ -2044,8 +1973,7 @@ void LiveNode::send_manifest(ReplicaId to) {
   m.signature = scheme_->sign(config_.me, BytesView(sb.data(), sb.size()));
   const Bytes msg = sync::encode_manifest_msg(m);
   send_counted(to, BytesView(msg.data(), msg.size()));
-  const common::MutexLock lock(decisions_mutex_);
-  ++sync_stats_.manifests_sent;
+  manifests_sent_->inc();
 }
 
 void LiveNode::serve_chunks(ReplicaId to, const sync::ChunkRequest& req) {
@@ -2069,6 +1997,7 @@ void LiveNode::serve_chunks(ReplicaId to, const sync::ChunkRequest& req) {
   const std::uint32_t first = std::min(req.first, n);
   const std::uint32_t end = std::min(first + std::min(req.count, budget), n);
   ps.served_in_tick += end - first;
+  chunks_served_->inc(end - first);
   for (std::uint32_t i = first; i < end; ++i) {
     sync::SnapshotChunk chunk;
     chunk.upto = img->upto;
@@ -2078,10 +2007,6 @@ void LiveNode::serve_chunks(ReplicaId to, const sync::ChunkRequest& req) {
     chunk.proof = img->tree.proof(i);
     const Bytes msg = sync::encode_chunk_msg(chunk);
     send_counted(to, BytesView(msg.data(), msg.size()));
-  }
-  if (end > first) {
-    const common::MutexLock lock(decisions_mutex_);
-    sync_stats_.chunks_served += end - first;
   }
 }
 
@@ -2120,8 +2045,7 @@ void LiveNode::install_snapshot_bytes(const Bytes& bytes) {
   } catch (const DecodeError&) {
     // The chunks verified against the signed root, so the *servers*
     // committed to garbage — drop it and wait for another manifest.
-    const common::MutexLock lock(decisions_mutex_);
-    ++sync_stats_.snapshots_rejected;
+    snapshots_rejected_->inc();
     return;
   }
   // Only worth installing if it moves our *contiguous* floor forward:
@@ -2136,12 +2060,11 @@ void LiveNode::install_snapshot_bytes(const Bytes& bytes) {
   // hook.
   if (pipeline_ != nullptr) pipeline_->drain();
   {
-    const common::MutexLock lock(decisions_mutex_);
     const common::MutexLock ledger(ledger_mutex_);
     bm_.restore(snap);
-    ++sync_stats_.snapshots_installed;
-    sync_stats_.installed_upto = snap.upto;
   }
+  snapshots_installed_->inc();
+  installed_upto_->set(static_cast<std::int64_t>(snap.upto));
   // Adopt the image as our own checkpoint: the disk (when journaled)
   // must represent the installed state across a restart, and we can
   // serve the same transfer to the next joiner.
@@ -2213,8 +2136,13 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
         const std::int64_t ts = r.i64();
         const Bytes sig = r.bytes();
         if (!r.done()) break;
-        const std::int64_t age = unix_now() - ts;
-        if (age > kResyncFreshness || age < -kResyncFreshness) break;
+        // ts is off the wire and not yet authenticated: compare it
+        // against the window instead of subtracting (now - ts overflows
+        // for ts near INT64_MIN).
+        const std::int64_t now_s = unix_now();
+        if (ts < now_s - kResyncFreshness || ts > now_s + kResyncFreshness) {
+          break;
+        }
         const Bytes sb =
             resync_signing_bytes(from, peer_epoch, peer_floor, ts);
         if (!scheme_->verify(from, BytesView(sb.data(), sb.size()),
@@ -2225,7 +2153,7 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
         break;
       }
       case MsgTag::kSnapshotManifest: {
-        if (fetcher_ == nullptr || !config_.real_blocks) break;
+        if (fetcher_ == nullptr) break;
         const auto m = sync::SnapshotManifest::decode(r);
         if (!r.done() || m.server != from) break;
         const Bytes sb = m.signing_bytes();
@@ -2240,8 +2168,7 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
         // relabelling attack or a server on a fork.
         const auto eo = epoch_of(m.upto);
         if (m.upto < join_floor_ || (eo && *eo != m.epoch)) {
-          const common::MutexLock lock(decisions_mutex_);
-          ++reconfig_.stale_manifests_rejected;
+          manifests_rejected_->inc();
           break;
         }
         const common::MutexLock lock(decisions_mutex_);
@@ -2321,21 +2248,17 @@ void LiveNode::run(Duration deadline) {
           bm_.restore(*snap);
           restored = true;
           restored_upto = snap->upto;
-          sync_stats_.restored_upto = snap->upto;
         }
       }
       if (!config_.journal_path.empty()) {
-        if (const auto stats = bm_.open_journal(
-                config_.journal_path, [this](const chain::EpochRecord& rec) {
-                  // Replay runs synchronously inside the locked scope
-                  // above; the analysis cannot see a capture-crossing
-                  // lock, so re-assert it for recover_epoch_record's
-                  // REQUIRES.
-                  decisions_mutex_.assert_held();
-                  recover_epoch_record(rec);
-                })) {
-          journal_replay_ = *stats;
-        }
+        (void)bm_.open_journal(
+            config_.journal_path, [this](const chain::EpochRecord& rec) {
+              // Replay runs synchronously inside the locked scope
+              // above; the analysis cannot see a capture-crossing lock,
+              // so re-assert it for recover_epoch_record's REQUIRES.
+              decisions_mutex_.assert_held();
+              recover_epoch_record(rec);
+            });
       }
     }
     if (restored) {
@@ -2371,18 +2294,6 @@ void LiveNode::run(Duration deadline) {
 std::vector<LiveDecision> LiveNode::decisions() const {
   const common::MutexLock lock(decisions_mutex_);
   return decisions_;
-}
-
-LiveNode::SyncStats LiveNode::sync_stats() const {
-  const common::MutexLock lock(decisions_mutex_);
-  SyncStats out = sync_stats_;
-  if (fetcher_ != nullptr) out.fetch = fetcher_->stats();
-  return out;
-}
-
-chain::Journal::ReplayStats LiveNode::journal_replay_stats() const {
-  const common::MutexLock lock(decisions_mutex_);
-  return journal_replay_;
 }
 
 crypto::Hash32 LiveNode::state_digest() const {

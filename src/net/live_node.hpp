@@ -60,10 +60,6 @@ struct LiveNodeConfig {
   /// Start passive: not a committee member, silent, waiting for t+1
   /// matching epoch announcements before activating as a member.
   bool standby = false;
-  /// Live membership changes: observe votes for PoFs, gossip them, run
-  /// the exclusion/inclusion consensus when ⌈n/3⌉ members are proven
-  /// deceitful. Off = the legacy static epoch-0 committee.
-  bool reconfiguration = true;
   /// Fault injection (tests/bench): this node equivocates on its binary
   /// consensus AUX votes — the signed double-vote every honest receiver
   /// turns into a proof of fraud. The attack a live deployment can
@@ -122,12 +118,11 @@ struct LiveNodeConfig {
   /// peers. An empty checkpoint.path with a journal_path set defaults
   /// to `<journal_path>.ckpt`.
   sync::CheckpointConfig checkpoint;
-  /// Payment mode: offer our checkpoint to a stalled peer whose floor
-  /// is below the watermark, and fetch one ourselves when offered a
-  /// manifest at least `fetcher.min_lag` ahead of our floor. Roots are
-  /// cross-validated: fetcher.manifest_quorum defaults to the
-  /// committee's t+1 (set it explicitly to override).
-  bool snapshot_catchup = true;
+  /// Payment mode: checkpoint transfer. The node offers its checkpoint
+  /// to a stalled peer whose floor is below the watermark, and fetches
+  /// one itself when offered a manifest at least `fetcher.min_lag` ahead
+  /// of its floor. Roots are cross-validated: fetcher.manifest_quorum
+  /// defaults to the committee's t+1 (set it explicitly to override).
   sync::SnapshotFetcher::Config fetcher;
   /// Mempool capacity (0 = unbounded). A full queue rejects further
   /// client transactions (SubmitStatus::kRejected backpressure).
@@ -191,7 +186,9 @@ struct LiveDecision {
 //      lock held, then compacts the journal under ledger_mutex_
 //      (compact_journal_below). Readers hold a reference-counted image.
 //   4. Harness/observer threads (LiveCluster, tests, benches): may only
-//      call stop() (atomic), the *_atomic accessors, and the accessors
+//      call stop() (atomic), the *_atomic accessors, metrics().find()
+//      (one relaxed-atomic counter or gauge; never samples(), whose
+//      pull callbacks read loop-thread state), and the accessors
 //      annotated EXCLUDES on a mutex, which snapshot under it.
 //
 // Two locks, strictly ordered (outermost first):
@@ -202,9 +199,10 @@ struct LiveDecision {
 //                                           CheckpointManager::mu_)
 //
 // decisions_mutex_ guards the loop/observer surface: the decision log,
-// the mempool, the stats blocks and the committee snapshot. It is
-// never held across signature verification, UTXO application or
-// journal I/O — those are the pipeline's job.
+// the mempool, the fetcher and the committee snapshot. Counters and
+// gauges live in the metrics registry (relaxed atomics) and need no
+// node lock. It is never held across signature verification, UTXO
+// application or journal I/O — those are the pipeline's job.
 //
 // ledger_mutex_ guards bm_: UTXO state, known-tx set, block store AND
 // the journal. The committer thread takes it per flush; the checkpoint
@@ -260,10 +258,12 @@ class LiveNode {
   }
 
   /// The node's metrics registry (counters/gauges/histograms across
-  /// every layer; see README "Observability" for the catalogue).
-  /// Registration is thread-safe; pull-callback series that read
-  /// loop-thread state must only be *rendered* on the loop thread
-  /// (the metrics server does) or after run() returned.
+  /// every layer; see README "Observability" for the catalogue) — the
+  /// one place its counters live. Registration is thread-safe, and any
+  /// thread may read one counter or gauge through Registry::find;
+  /// pull-callback series that read loop-thread state must only be
+  /// *rendered* on the loop thread (the metrics server does) or after
+  /// run() returned.
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
   [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
   /// Lifecycle spans per (epoch, instance); always recording.
@@ -279,42 +279,10 @@ class LiveNode {
   [[nodiscard]] std::vector<ReplicaId> committee_members() const
       EXCLUDES(decisions_mutex_);
 
-  /// Membership-change observability (thread-safe snapshot).
-  struct ReconfigStats {
-    std::uint32_t epoch = 0;
-    std::uint64_t pof_culprits = 0;   ///< distinct proven-deceitful ids
-    std::uint64_t excluded = 0;       ///< cumulative exclusions
-    std::uint64_t included = 0;       ///< cumulative inclusions
-    std::uint64_t cross_epoch_dropped = 0;  ///< frames rejected on epoch
-    std::uint64_t stale_manifests_rejected = 0;
-    /// Wall-clock milliseconds since run(), -1 = not reached.
-    std::int64_t detect_ms = -1;   ///< fd culprits proven
-    std::int64_t exclude_ms = -1;  ///< exclusion consensus decided
-    std::int64_t include_ms = -1;  ///< inclusion decided, epoch bumped
-    std::int64_t resume_ms = -1;   ///< regular pipeline restarted
-  };
-  [[nodiscard]] ReconfigStats reconfig_stats() const
-      EXCLUDES(decisions_mutex_);
-
   /// Payment mode (real_blocks): the client-facing gateway port.
   [[nodiscard]] std::uint16_t client_port() const {
     return gateway_ ? gateway_->local_port() : 0;
   }
-  /// State-sync observability (thread-safe snapshots).
-  struct SyncStats {
-    std::uint64_t manifests_sent = 0;      ///< checkpoint offers made
-    std::uint64_t chunks_served = 0;
-    std::uint64_t snapshots_installed = 0; ///< via network transfer
-    std::uint64_t snapshots_rejected = 0;  ///< undecodable after verify
-    InstanceId installed_upto = 0;         ///< highest installed watermark
-    InstanceId restored_upto = 0;          ///< from disk at startup
-    sync::FetchStats fetch;
-  };
-  [[nodiscard]] SyncStats sync_stats() const EXCLUDES(decisions_mutex_);
-  /// Startup journal replay (blocks delivered after any checkpoint
-  /// restore — i.e. the post-checkpoint tail).
-  [[nodiscard]] chain::Journal::ReplayStats journal_replay_stats() const
-      EXCLUDES(decisions_mutex_);
   /// Thread-safe ledger digest (position-independent).
   [[nodiscard]] crypto::Hash32 state_digest() const
       EXCLUDES(ledger_mutex_);
@@ -479,12 +447,14 @@ class LiveNode {
       REQUIRES(decisions_mutex_);
   void stash_membership_frame(ReplicaId from, BytesView data);
   void drain_membership_stash() EXCLUDES(decisions_mutex_);
-  [[nodiscard]] std::int64_t ms_since_start() const;
+  /// Sets a membership-change phase gauge (zlb_reconfig_phase_ms) to
+  /// the ms since run() the first time the phase is reached.
+  void stamp_phase(obs::Gauge* phase) const;
 
   // --- observability -------------------------------------------------
-  /// Registers the pull-callback metric catalogue (transport, mempool,
-  /// sync, reconfig, queue depths) and creates the tracer. Constructor
-  /// tail; split out for readability only.
+  /// Registers the node's metric catalogue (transport, mempool, sync,
+  /// reconfig, queue depths) and creates the tracer. Constructor tail;
+  /// split out for readability only.
   void register_metrics();
   /// Counted transport send: attributes frames/bytes to the message
   /// kind (payload tag byte) before handing off to the transport.
@@ -518,6 +488,23 @@ class LiveNode {
   /// committed them (one batched eviction pass per flush).
   obs::Counter* mempool_evicted_ = nullptr;
   obs::Histogram* checkpoint_seconds_ = nullptr;
+  // Membership change (loop thread writes; any thread reads).
+  obs::Counter* excluded_ = nullptr;
+  obs::Counter* included_ = nullptr;
+  obs::Counter* cross_epoch_dropped_ = nullptr;
+  obs::Gauge* pof_culprits_ = nullptr;
+  /// zlb_reconfig_phase_ms{phase}, -1 until reached.
+  obs::Gauge* detect_ms_ = nullptr;   ///< fd culprits proven
+  obs::Gauge* exclude_ms_ = nullptr;  ///< exclusion consensus decided
+  obs::Gauge* include_ms_ = nullptr;  ///< inclusion decided, epoch bumped
+  obs::Gauge* resume_ms_ = nullptr;   ///< regular pipeline restarted
+  // State sync (loop thread writes; any thread reads).
+  obs::Counter* manifests_sent_ = nullptr;
+  obs::Counter* manifests_rejected_ = nullptr;  ///< epoch gate refused
+  obs::Counter* chunks_served_ = nullptr;
+  obs::Counter* snapshots_installed_ = nullptr;
+  obs::Counter* snapshots_rejected_ = nullptr;  ///< undecodable image
+  obs::Gauge* installed_upto_ = nullptr;  ///< highest installed watermark
 
   // --- epoch state ---------------------------------------------------
   std::uint32_t epoch_ = 0;
@@ -569,7 +556,6 @@ class LiveNode {
   /// A standby refuses snapshots below its join boundary: it cannot
   /// replay an old-epoch tail it was never a member for.
   InstanceId join_floor_ = 0;
-  ReconfigStats reconfig_ GUARDED_BY(decisions_mutex_);
   TimePoint run_start_{};
 
   std::map<InstanceId, std::unique_ptr<Engine>> engines_;
@@ -634,8 +620,6 @@ class LiveNode {
   /// Instances below this are settled by an installed snapshot (no
   /// engine ever ran for them on this node).
   InstanceId settled_floor_ = 0;
-  SyncStats sync_stats_ GUARDED_BY(decisions_mutex_);
-  chain::Journal::ReplayStats journal_replay_ GUARDED_BY(decisions_mutex_);
 
   /// The outermost lock (decisions_mutex_ > ledger_mutex_); see the
   /// threading-model comment above the class for what it guards.

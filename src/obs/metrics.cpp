@@ -1,6 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <type_traits>
 
 namespace zlb::obs {
 
@@ -130,6 +133,33 @@ void Registry::gauge_fn(const std::string& name, const std::string& help,
   Entry& e = entry(MetricKind::kGauge, name, help, labels, 1.0);
   e.gauge_cb = std::move(fn);
 }
+
+template <class M>
+const M& Registry::find(const std::string& name, const LabelSet& labels) const {
+  std::string key = entry_key(name, labels);
+  const M* metric = nullptr;
+  {
+    MutexLock lock(mu_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if constexpr (std::is_same_v<M, Counter>) {
+        metric = it->second.counter.get();
+      } else {
+        metric = it->second.gauge.get();
+      }
+    }
+  }
+  if (metric == nullptr) {
+    std::replace(key.begin(), key.end(), '\x1f', ' ');
+    throw std::out_of_range("obs::Registry: no registered metric " + key);
+  }
+  return *metric;
+}
+
+template const Counter& Registry::find<Counter>(const std::string&,
+                                                const LabelSet&) const;
+template const Gauge& Registry::find<Gauge>(const std::string&,
+                                            const LabelSet&) const;
 
 std::vector<Sample> Registry::samples() const {
   // Pull callbacks run AFTER the registry lock is released: they take

@@ -171,6 +171,15 @@ class Registry {
   void gauge_fn(const std::string& name, const std::string& help,
                 std::function<std::int64_t()> fn, const LabelSet& labels = {});
 
+  /// The registered Counter or Gauge (M) of series (name, labels), for
+  /// readers that need one value: it runs no pull callback, so any
+  /// thread may read a running node through it, unlike samples().
+  /// Throws std::out_of_range when no such metric was registered
+  /// (pull-callback series have no object to return).
+  template <class M>
+  [[nodiscard]] const M& find(const std::string& name,
+                              const LabelSet& labels = {}) const;
+
   /// Consistent-order snapshot of every registered metric (sorted by
   /// name, then labels — the exposition formats depend on it).
   [[nodiscard]] std::vector<Sample> samples() const;

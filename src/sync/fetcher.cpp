@@ -21,6 +21,26 @@ crypto::Hash32 manifest_content_digest(const SnapshotManifest& m) {
 }
 }  // namespace
 
+SnapshotFetcher::SnapshotFetcher(Config config, obs::Registry& metrics,
+                                 RequestFn request)
+    : config_(config),
+      request_(std::move(request)),
+      manifests_endorsed_(metrics.counter(
+          "zlb_sync_manifests_endorsed_total",
+          "Manifest offers counted toward the cross-validation quorum")),
+      manifests_adopted_(
+          metrics.counter("zlb_sync_manifests_adopted_total",
+                          "Manifests adopted as the transfer target")),
+      chunks_received_(
+          metrics.counter("zlb_sync_chunks_received_total",
+                          "Snapshot chunks fetched, verified and new")),
+      chunks_rejected_(metrics.counter(
+          "zlb_sync_chunks_rejected_total",
+          "Snapshot chunks refused (bad merkle proof, index or size)")),
+      retries_total_(
+          metrics.counter("zlb_sync_fetch_retry_rounds_total",
+                          "Stall-triggered chunk re-request rounds")) {}
+
 bool SnapshotFetcher::endorse(ReplicaId from, const SnapshotManifest& m,
                               InstanceId my_floor) {
   if (config_.manifest_quorum <= 1) return true;
@@ -50,7 +70,7 @@ bool SnapshotFetcher::endorse(ReplicaId from, const SnapshotManifest& m,
   last_endorsed_[from] = digest;
   auto& entry = endorsements_[digest];
   entry.first = m.upto;
-  if (entry.second.insert(from).second) ++stats_.manifests_endorsed;
+  if (entry.second.insert(from).second) manifests_endorsed_.inc();
   return entry.second.size() >= config_.manifest_quorum;
 }
 
@@ -82,7 +102,7 @@ bool SnapshotFetcher::consider(ReplicaId from, const SnapshotManifest& m,
   outstanding_ = 0;
   ticks_since_progress_ = 0;
   retry_rounds_ = 0;
-  ++stats_.manifests_adopted;
+  manifests_adopted_.inc();
   fill_window();
   return true;
 }
@@ -121,7 +141,7 @@ std::optional<Bytes> SnapshotFetcher::on_chunk(ReplicaId /*from*/,
   // any peer holding the same image may serve it.
   if (!active_ || chunk.upto != manifest_.upto) return std::nullopt;
   if (chunk.index >= manifest_.chunk_count) {
-    ++stats_.chunks_rejected;
+    chunks_rejected_.inc();
     return std::nullopt;
   }
   const std::size_t begin =
@@ -129,14 +149,14 @@ std::optional<Bytes> SnapshotFetcher::on_chunk(ReplicaId /*from*/,
   const std::size_t expect =
       std::min<std::size_t>(manifest_.chunk_size, buffer_.size() - begin);
   if (chunk.data.size() != expect) {
-    ++stats_.chunks_rejected;
+    chunks_rejected_.inc();
     return std::nullopt;
   }
   const crypto::Hash32 leaf =
       crypto::merkle_leaf(BytesView(chunk.data.data(), chunk.data.size()));
   if (!crypto::MerkleTree::verify(manifest_.root, chunk.index,
                                   manifest_.chunk_count, leaf, chunk.proof)) {
-    ++stats_.chunks_rejected;
+    chunks_rejected_.inc();
     return std::nullopt;
   }
   if (have_[chunk.index] != 0) return std::nullopt;  // duplicate
@@ -144,14 +164,13 @@ std::optional<Bytes> SnapshotFetcher::on_chunk(ReplicaId /*from*/,
   have_[chunk.index] = 1;
   ++have_count_;
   if (requested_[chunk.index] != 0 && outstanding_ > 0) --outstanding_;
-  ++stats_.chunks_received;
+  chunks_received_.inc();
   ticks_since_progress_ = 0;
   retry_rounds_ = 0;
   if (have_count_ < manifest_.chunk_count) {
     fill_window();
     return std::nullopt;
   }
-  ++stats_.completed;
   active_ = false;
   return std::move(buffer_);
 }
@@ -161,7 +180,7 @@ void SnapshotFetcher::tick() {
   if (++ticks_since_progress_ < config_.stall_ticks) return;
   ticks_since_progress_ = 0;
   ++retry_rounds_;
-  ++stats_.retry_rounds;
+  retries_total_.inc();
   // Everything in flight is presumed lost with the stalled connection:
   // forget the requested marks and ask again from the lowest gap.
   std::fill(requested_.begin(), requested_.end(), std::uint8_t{0});

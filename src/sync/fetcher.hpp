@@ -22,18 +22,10 @@
 #include <optional>
 #include <set>
 
+#include "obs/metrics.hpp"
 #include "sync/frames.hpp"
 
 namespace zlb::sync {
-
-struct FetchStats {
-  std::uint64_t manifests_adopted = 0;
-  std::uint64_t manifests_endorsed = 0;  ///< offers counted toward quorum
-  std::uint64_t chunks_received = 0;   ///< verified and new
-  std::uint64_t chunks_rejected = 0;   ///< bad proof / geometry / stale
-  std::uint64_t retry_rounds = 0;      ///< stall-triggered re-requests
-  std::uint64_t completed = 0;         ///< images fully assembled
-};
 
 class SnapshotFetcher {
  public:
@@ -61,8 +53,10 @@ class SnapshotFetcher {
   /// Sends one ChunkRequest to `to` (the adopted manifest's server).
   using RequestFn = std::function<void(ReplicaId to, const ChunkRequest&)>;
 
-  SnapshotFetcher(Config config, RequestFn request)
-      : config_(config), request_(std::move(request)) {}
+  /// Counts manifests, chunks and retry rounds into `metrics`
+  /// (zlb_sync_* series; see README "Observability"), which must
+  /// outlive the fetcher.
+  SnapshotFetcher(Config config, obs::Registry& metrics, RequestFn request);
 
   /// Offers a verified manifest. Adopts it (and starts requesting) when
   /// it is worth a transfer; returns true iff adopted.
@@ -83,7 +77,6 @@ class SnapshotFetcher {
   [[nodiscard]] InstanceId target() const { return manifest_.upto; }
   [[nodiscard]] ReplicaId source() const { return source_; }
   [[nodiscard]] std::uint32_t have() const { return have_count_; }
-  [[nodiscard]] const FetchStats& stats() const { return stats_; }
 
  private:
   /// Requests not-yet-requested missing chunks until `window` are
@@ -114,7 +107,11 @@ class SnapshotFetcher {
   std::uint32_t outstanding_ = 0;
   int ticks_since_progress_ = 0;
   int retry_rounds_ = 0;
-  FetchStats stats_;
+  obs::Counter& manifests_endorsed_;  ///< offers counted toward quorum
+  obs::Counter& manifests_adopted_;
+  obs::Counter& chunks_received_;     ///< verified and new
+  obs::Counter& chunks_rejected_;     ///< bad proof / geometry
+  obs::Counter& retries_total_;       ///< stall-triggered re-requests
 };
 
 }  // namespace zlb::sync

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <thread>
 
 #include "chain/wallet.hpp"
+#include "common/serde.hpp"
+#include "consensus/messages.hpp"
 #include "net/client_gateway.hpp"
 #include "net/live_node.hpp"
 
@@ -240,6 +243,116 @@ TEST(LivePacing, WindowOfOneDecidesInOrder) {
       EXPECT_EQ(decisions[k].index, k) << "node " << i;
     }
   }
+}
+
+// --- anti-entropy resync -------------------------------------------
+
+/// A kResyncStatus frame laid out as LiveNode::resync_tick sends it,
+/// signed for `signer` with the SimScheme keys of use_ecdsa = false.
+Bytes resync_status(ReplicaId signer, InstanceId floor, std::int64_t ts) {
+  Writer sb;
+  sb.string("zlb-resync-status");
+  sb.u32(signer);
+  sb.u32(0);  // epoch
+  sb.u64(floor);
+  sb.i64(ts);
+  const Bytes signing = sb.take();
+  crypto::SimScheme scheme;
+  const Bytes sig =
+      scheme.sign(signer, BytesView(signing.data(), signing.size()));
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(consensus::MsgTag::kResyncStatus));
+  w.u32(0);
+  w.u64(floor);
+  w.i64(ts);
+  w.bytes(BytesView(sig.data(), sig.size()));
+  return w.take();
+}
+
+TEST(LiveResync, OutOfRangeStatusTimestampIsDropped) {
+  // A status timestamp is checked for freshness before its signature,
+  // and anyone past the transport's unauthenticated hello can send one:
+  // an extreme value must fall out of the freshness window, never into
+  // a signed overflow of `now - ts`. The peer here is a pool member
+  // whose statuses are validly signed, so only the freshness window can
+  // drop them; a fresh status from it gets a checkpoint offer, which
+  // shows the stale ones would have got one too.
+  constexpr ReplicaId kPeer = 4;
+  LiveNodeConfig base = paced_config(20ms);
+  base.committee = {0, 1, 2, 3};
+  base.pool = {kPeer};
+  base.checkpoint.interval = 8;
+  std::map<ReplicaId, std::uint16_t> ports;
+  std::vector<std::unique_ptr<LiveNode>> nodes;
+  for (ReplicaId i = 0; i < 4; ++i) {
+    LiveNodeConfig cfg = base;
+    cfg.me = i;
+    nodes.push_back(std::make_unique<LiveNode>(cfg));
+    ports[i] = nodes.back()->port();
+  }
+  // The fake peer: a bare transport under the pool id, driven by this
+  // thread. The committee sends it nothing but answers to its statuses.
+  EventLoop peer_loop;
+  TransportConfig tc;
+  tc.me = kPeer;
+  tc.peers = ports;
+  TcpTransport peer(peer_loop, tc);
+  std::size_t offers = 0;
+  peer.set_handler([&offers](ReplicaId, BytesView data) {
+    if (!data.empty() &&
+        data[0] ==
+            static_cast<std::uint8_t>(consensus::MsgTag::kSnapshotManifest)) {
+      ++offers;
+    }
+  });
+  ports[kPeer] = peer.local_port();
+  for (auto& node : nodes) node->set_peer_ports(ports);
+
+  std::vector<std::thread> threads;
+  for (auto& node : nodes) {
+    threads.emplace_back([n = node.get()] { n->run(120s); });
+  }
+  struct Stopper {
+    std::vector<std::unique_ptr<LiveNode>>& nodes;
+    std::vector<std::thread>& threads;
+    ~Stopper() {
+      for (auto& n : nodes) n->stop();
+      for (auto& t : threads) t.join();
+    }
+  } stopper{nodes, threads};
+  peer.start();
+  const auto pump = [&peer_loop](const std::function<bool()>& done,
+                                 Duration budget) {
+    const auto deadline = Clock::now() + budget;
+    while (!done() && Clock::now() < deadline) peer_loop.poll_once(5ms);
+    return done();
+  };
+  ASSERT_TRUE(pump(
+      [&] {
+        for (ReplicaId i = 0; i < 4; ++i) {
+          if (!peer.connected(i)) return false;
+        }
+        return nodes[0]->checkpoints()->watermark() >= 8;
+      },
+      30s))
+      << "peer links or the first checkpoint never came up";
+
+  for (const std::int64_t ts : {std::numeric_limits<std::int64_t>::min(),
+                                std::numeric_limits<std::int64_t>::max()}) {
+    const Bytes stale = resync_status(kPeer, 0, ts);
+    for (ReplicaId i = 0; i < 4; ++i) peer.send(i, stale);
+  }
+  (void)pump([] { return false; }, 1s);
+  EXPECT_EQ(offers, 0u) << "a status outside the freshness window was used";
+  const std::uint64_t decided = nodes[0]->decided_count();
+  EXPECT_TRUE(pump([&] { return nodes[0]->decided_count() > decided; }, 20s))
+      << "the cluster stopped deciding";
+
+  const Bytes fresh =
+      resync_status(kPeer, 0, common::Clock::system().unix_seconds());
+  peer.send(0, fresh);
+  EXPECT_TRUE(pump([&] { return offers > 0; }, 20s))
+      << "a fresh status from the peer got no checkpoint offer";
 }
 
 }  // namespace

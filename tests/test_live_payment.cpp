@@ -51,8 +51,9 @@ class ClusterRunner {
 
 TEST(ClientGateway, AcceptsValidRejectsGarbage) {
   EventLoop loop;
+  obs::Registry metrics;
   std::vector<chain::Transaction> received;
-  ClientGateway gateway(loop, 0, [&](const chain::Transaction& tx) {
+  ClientGateway gateway(loop, 0, metrics, [&](const chain::Transaction& tx) {
     received.push_back(tx);
     return true;
   });
@@ -90,13 +91,20 @@ TEST(ClientGateway, AcceptsValidRejectsGarbage) {
   loop_thread.join();
   ASSERT_GE(received.size(), 1u);
   EXPECT_EQ(received[0].id(), tx->id());
-  EXPECT_GE(gateway.stats().accepted, 1u);
+  EXPECT_GE(metrics
+                .find<obs::Counter>("zlb_gateway_submissions_total",
+                                    {{"status", "accepted"}})
+                .value(),
+            1u);
 }
 
 TEST(ClientGateway, MalformedFrameIsAnsweredNotFatal) {
   EventLoop loop;
-  ClientGateway gateway(loop, 0,
+  obs::Registry metrics;
+  ClientGateway gateway(loop, 0, metrics,
                         [](const chain::Transaction&) { return true; });
+  const obs::Counter& malformed = metrics.find<obs::Counter>(
+      "zlb_gateway_submissions_total", {{"status", "malformed"}});
   std::atomic<bool> stop{false};
   std::thread loop_thread([&] {
     while (!stop.load()) loop.poll_once(std::chrono::milliseconds(10));
@@ -110,10 +118,10 @@ TEST(ClientGateway, MalformedFrameIsAnsweredNotFatal) {
   ASSERT_NE(write_some(*raw, junk, offset), IoStatus::kError);
 
   const auto deadline = Clock::now() + 3s;
-  while (Clock::now() < deadline && gateway.stats().malformed == 0) {
+  while (Clock::now() < deadline && malformed.value() == 0) {
     std::this_thread::sleep_for(10ms);
   }
-  EXPECT_EQ(gateway.stats().malformed, 1u);
+  EXPECT_EQ(malformed.value(), 1u);
   stop.store(true);
   loop_thread.join();
 }

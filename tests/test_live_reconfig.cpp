@@ -245,16 +245,29 @@ TEST(LiveReconfig, CoalitionExcludedPoolAdmittedPaymentsContinue) {
   std::size_t executed = 0;
   for (ReplicaId i = 0; i < kCommittee; ++i) {
     if (is_colluder(i)) continue;
-    const auto stats = nodes[i]->reconfig_stats();
-    EXPECT_EQ(stats.epoch, 1u) << "node " << i;
-    EXPECT_GE(stats.include_ms, 0) << "node " << i;
-    if (stats.excluded == 0) continue;  // healed by announcement
+    const obs::Registry& m = nodes[i]->metrics();
+    const std::uint64_t excluded =
+        m.find<obs::Counter>("zlb_reconfig_excluded_total").value();
+    const std::int64_t detect_ms =
+        m.find<obs::Gauge>("zlb_reconfig_phase_ms", {{"phase", "detect"}})
+            .value();
+    const std::int64_t exclude_ms =
+        m.find<obs::Gauge>("zlb_reconfig_phase_ms", {{"phase", "exclude"}})
+            .value();
+    const std::int64_t include_ms =
+        m.find<obs::Gauge>("zlb_reconfig_phase_ms", {{"phase", "include"}})
+            .value();
+    EXPECT_EQ(nodes[i]->epoch(), 1u) << "node " << i;
+    EXPECT_GE(include_ms, 0) << "node " << i;
+    if (excluded == 0) continue;  // healed by announcement
     ++executed;
-    EXPECT_EQ(stats.excluded, kColluders.size()) << "node " << i;
-    EXPECT_EQ(stats.included, kPool) << "node " << i;
-    EXPECT_GE(stats.detect_ms, 0) << "node " << i;
-    EXPECT_GE(stats.exclude_ms, stats.detect_ms) << "node " << i;
-    EXPECT_GE(stats.include_ms, stats.exclude_ms) << "node " << i;
+    EXPECT_EQ(excluded, kColluders.size()) << "node " << i;
+    EXPECT_EQ(m.find<obs::Counter>("zlb_reconfig_included_total").value(),
+              kPool)
+        << "node " << i;
+    EXPECT_GE(detect_ms, 0) << "node " << i;
+    EXPECT_GE(exclude_ms, detect_ms) << "node " << i;
+    EXPECT_GE(include_ms, exclude_ms) << "node " << i;
   }
   EXPECT_GE(executed, (kCommittee - 1) / 3 + 1)
       << "fewer veterans executed the change than adoption requires";
@@ -313,13 +326,18 @@ TEST(LiveReconfig, CoalitionExcludedPoolAdmittedPaymentsContinue) {
       }
     }
     for (ReplicaId i = 0; i < kCommittee + kPool; ++i) {
-      const auto sync = nodes[i]->sync_stats();
-      const auto rc = nodes[i]->reconfig_stats();
+      const obs::Registry& m = nodes[i]->metrics();
+      const auto count = [&m](const char* name) {
+        return static_cast<unsigned long long>(
+            m.find<obs::Counter>(name).value());
+      };
+      const auto installed_upto = static_cast<InstanceId>(
+          m.find<obs::Gauge>("zlb_sync_installed_upto").value());
       // Lowest instance this node recorded no decision for (settled
       // instances have no record; start above the installed watermark).
       std::set<InstanceId> have;
       for (const auto& d : nodes[i]->decisions()) have.insert(d.index);
-      InstanceId gap = sync.installed_upto;
+      InstanceId gap = installed_upto;
       while (have.count(gap) != 0) ++gap;
       std::fprintf(stderr, "node %u: first decision gap at %llu\n", i,
                    static_cast<unsigned long long>(gap));
@@ -332,15 +350,15 @@ TEST(LiveReconfig, CoalitionExcludedPoolAdmittedPaymentsContinue) {
           i, is_colluder(i) ? " (colluder)" : (i >= kCommittee ? " (pool)" : ""),
           nodes[i]->epoch(), nodes[i]->active() ? 1 : 0,
           static_cast<unsigned long long>(nodes[i]->decided_count()),
-          static_cast<unsigned long long>(sync.snapshots_installed),
-          static_cast<unsigned long long>(sync.installed_upto),
-          static_cast<unsigned long long>(sync.fetch.manifests_endorsed),
-          static_cast<unsigned long long>(sync.fetch.manifests_adopted),
-          static_cast<unsigned long long>(sync.manifests_sent),
-          static_cast<unsigned long long>(sync.chunks_served),
-          static_cast<unsigned long long>(sync.fetch.chunks_received),
-          static_cast<unsigned long long>(rc.stale_manifests_rejected),
-          static_cast<unsigned long long>(rc.cross_epoch_dropped),
+          count("zlb_sync_snapshots_installed_total"),
+          static_cast<unsigned long long>(installed_upto),
+          count("zlb_sync_manifests_endorsed_total"),
+          count("zlb_sync_manifests_adopted_total"),
+          count("zlb_sync_manifests_sent_total"),
+          count("zlb_sync_chunks_served_total"),
+          count("zlb_sync_chunks_received_total"),
+          count("zlb_sync_manifests_rejected_total"),
+          count("zlb_reconfig_cross_epoch_dropped_total"),
           static_cast<long long>(nodes[i]->balance(bob.address())),
           static_cast<long long>(nodes[i]->balance(carol.address())));
     }
@@ -354,9 +372,15 @@ TEST(LiveReconfig, CoalitionExcludedPoolAdmittedPaymentsContinue) {
   // pre-join history is below their join boundary), cross-validated by
   // t+1 matching manifests.
   for (std::size_t i = kCommittee; i < nodes.size(); ++i) {
-    const auto stats = nodes[i]->sync_stats();
-    EXPECT_GE(stats.snapshots_installed, 1u) << "standby " << i;
-    EXPECT_GE(stats.fetch.manifests_endorsed, 2u) << "standby " << i;
+    const obs::Registry& m = nodes[i]->metrics();
+    EXPECT_GE(
+        m.find<obs::Counter>("zlb_sync_snapshots_installed_total").value(),
+        1u)
+        << "standby " << i;
+    EXPECT_GE(
+        m.find<obs::Counter>("zlb_sync_manifests_endorsed_total").value(),
+        2u)
+        << "standby " << i;
   }
 
   // Ledgers converge across the whole epoch-1 membership.

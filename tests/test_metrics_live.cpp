@@ -140,16 +140,18 @@ TEST(MetricsSmoke, LiveClusterScrapeHasCoreSeries) {
         "zlb_msgs_total", "zlb_msg_bytes_total", "zlb_mempool_size",
         "zlb_mempool_rejected_total", "zlb_instances_decided_total",
         "zlb_consensus_rounds_total", "zlb_epoch",
-        "zlb_block_verify_seconds", "zlb_block_apply_seconds",
+        "zlb_pipeline_verify_seconds", "zlb_pipeline_apply_seconds",
         "zlb_decide_latency_seconds", "zlb_e2e_latency_seconds",
         "zlb_decide_phase_latency_seconds", "zlb_event_loop_watches",
         "zlb_event_loop_lag_seconds"}) {
     EXPECT_NE(text.find(series), std::string::npos) << series;
   }
-  // The decide-latency and loop-lag histograms must have real
-  // observations (every fired timer records its lateness).
+  // The decide-latency, loop-lag and commit-pipeline histograms must
+  // have real observations (every fired timer records its lateness, and
+  // the settled payment went through verify and apply).
   for (const std::string hist :
-       {"zlb_decide_latency_seconds", "zlb_event_loop_lag_seconds"}) {
+       {"zlb_decide_latency_seconds", "zlb_event_loop_lag_seconds",
+        "zlb_pipeline_verify_seconds", "zlb_pipeline_apply_seconds"}) {
     const std::string key = hist + "_count ";
     const auto count_pos = text.find(key);
     ASSERT_NE(count_pos, std::string::npos) << hist;
@@ -160,6 +162,13 @@ TEST(MetricsSmoke, LiveClusterScrapeHasCoreSeries) {
         << hist;
     EXPECT_GT(count, 0u) << hist << " histogram is empty";
   }
+  // The gateway counted the payment it admitted.
+  EXPECT_GE(cluster.node(0)
+                .metrics()
+                .find<obs::Counter>("zlb_gateway_submissions_total",
+                                    {{"status", "accepted"}})
+                .value(),
+            1u);
 
   // JSON snapshot; optionally archived as a CI artifact.
   const auto json = http_get(cluster.node(0).metrics_port(), "/metrics.json");

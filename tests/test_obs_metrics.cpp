@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,13 +164,33 @@ TEST(Registry, RegistrationIsIdempotentPerNameAndLabels) {
   EXPECT_EQ(samples[3].labels, (LabelSet{{"kind", "b"}}));
 }
 
+TEST(Registry, FindReturnsTheRegisteredMetricOrThrows) {
+  Registry reg;
+  Counter& c = reg.counter("zlb_x_total", "x", {{"kind", "a"}});
+  Gauge& g = reg.gauge("zlb_depth", "d");
+  c.inc(5);
+  g.set(-3);
+  EXPECT_EQ(&reg.find<Counter>("zlb_x_total", {{"kind", "a"}}), &c);
+  EXPECT_EQ(reg.find<Counter>("zlb_x_total", {{"kind", "a"}}).value(), 5u);
+  EXPECT_EQ(reg.find<Gauge>("zlb_depth").value(), -3);
+  // Absent: an unknown name, other labels, the other kind, or a pull
+  // callback (it has no object to return).
+  reg.counter_fn("zlb_pull_total", "pulled", [] { return 1u; });
+  EXPECT_THROW((void)reg.find<Counter>("zlb_nope_total"), std::out_of_range);
+  EXPECT_THROW((void)reg.find<Counter>("zlb_x_total", {{"kind", "b"}}),
+               std::out_of_range);
+  EXPECT_THROW((void)reg.find<Counter>("zlb_x_total"), std::out_of_range);
+  EXPECT_THROW((void)reg.find<Gauge>("zlb_x_total", {{"kind", "a"}}),
+               std::out_of_range);
+  EXPECT_THROW((void)reg.find<Counter>("zlb_pull_total"), std::out_of_range);
+}
+
 TEST(Registry, CallbacksRunOutsideTheRegistryLock) {
-  // An owner registers metrics while holding its own lock, and its
-  // pull callback takes that lock (a node registers histograms under
-  // its ledger lock; its mempool gauge takes the decisions lock, which
-  // nests outside the ledger lock). Calling back under the registry
-  // lock would close a lock-order cycle: TSan reports the inversion,
-  // and two threads doing it can deadlock.
+  // An owner may register metrics while holding its own lock, and its
+  // pull callback may take that lock (a node's mempool gauge takes its
+  // decisions lock). Calling back under the registry lock would close
+  // a lock-order cycle: TSan reports the inversion, and two threads
+  // doing it can deadlock.
   Registry reg;
   common::Mutex owner_mu;
   std::int64_t owned = 7;

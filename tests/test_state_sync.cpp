@@ -55,7 +55,8 @@ struct FetchHarness {
 TEST(SnapshotFetcher, AssemblesImageFromChunks) {
   FetchHarness h(1000, 64);
   std::vector<ChunkRequest> requests;
-  SnapshotFetcher fetcher({.window = 4, .stall_ticks = 2},
+  obs::Registry metrics;
+  SnapshotFetcher fetcher({.window = 4, .stall_ticks = 2}, metrics,
                           [&](ReplicaId to, const ChunkRequest& r) {
                             EXPECT_EQ(to, 1u);
                             requests.push_back(r);
@@ -70,7 +71,9 @@ TEST(SnapshotFetcher, AssemblesImageFromChunks) {
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(*done, h.image.bytes);
   EXPECT_FALSE(fetcher.active());
-  EXPECT_EQ(fetcher.stats().chunks_received, h.manifest.chunk_count);
+  EXPECT_EQ(
+      metrics.find<obs::Counter>("zlb_sync_chunks_received_total").value(),
+      h.manifest.chunk_count);
   // No request amplification: a loss-free transfer asks for every
   // chunk at most once (the window slides; it does not re-request its
   // whole contents on every arrival).
@@ -82,7 +85,8 @@ TEST(SnapshotFetcher, AssemblesImageFromChunks) {
 TEST(SnapshotFetcher, ResumesAfterChurnByReRequesting) {
   FetchHarness h(2048, 128);
   std::vector<ChunkRequest> requests;
-  SnapshotFetcher fetcher({.window = 4, .stall_ticks = 2},
+  obs::Registry metrics;
+  SnapshotFetcher fetcher({.window = 4, .stall_ticks = 2}, metrics,
                           [&](ReplicaId, const ChunkRequest& r) {
                             requests.push_back(r);
                           });
@@ -95,7 +99,9 @@ TEST(SnapshotFetcher, ResumesAfterChurnByReRequesting) {
   fetcher.tick();  // stall threshold hit -> re-request missing
   ASSERT_FALSE(requests.empty());
   EXPECT_EQ(requests.front().first, 0u) << "missing chunks come first";
-  EXPECT_GE(fetcher.stats().retry_rounds, 1u);
+  EXPECT_GE(
+      metrics.find<obs::Counter>("zlb_sync_fetch_retry_rounds_total").value(),
+      1u);
   // Finish the transfer.
   std::optional<Bytes> done;
   for (std::uint32_t i = 0; i < h.manifest.chunk_count && !done; ++i) {
@@ -108,13 +114,16 @@ TEST(SnapshotFetcher, ResumesAfterChurnByReRequesting) {
 
 TEST(SnapshotFetcher, RejectsForgedAndStaleChunks) {
   FetchHarness h(512, 64);
-  SnapshotFetcher fetcher({}, [](ReplicaId, const ChunkRequest&) {});
+  obs::Registry metrics;
+  SnapshotFetcher fetcher({}, metrics, [](ReplicaId, const ChunkRequest&) {});
   ASSERT_TRUE(fetcher.consider(1, h.manifest, 0));
   // Flipped payload byte: merkle proof fails, nothing is accepted.
   auto bad = h.chunk(0);
   bad.data[0] ^= 0x01;
   EXPECT_FALSE(fetcher.on_chunk(1, bad).has_value());
-  EXPECT_EQ(fetcher.stats().chunks_rejected, 1u);
+  EXPECT_EQ(
+      metrics.find<obs::Counter>("zlb_sync_chunks_rejected_total").value(),
+      1u);
   EXPECT_EQ(fetcher.have(), 0u);
   // Chunk of a different checkpoint: ignored.
   auto stale = h.chunk(0);
@@ -135,7 +144,8 @@ TEST(SnapshotFetcher, RejectsForgedAndStaleChunks) {
 TEST(SnapshotFetcher, PrefersFresherManifestAndIgnoresShallowOnes) {
   FetchHarness old_h(512, 64, /*upto=*/10);
   FetchHarness new_h(512, 64, /*upto=*/20);
-  SnapshotFetcher fetcher({.min_lag = 2},
+  obs::Registry metrics;
+  SnapshotFetcher fetcher({.min_lag = 2}, metrics,
                           [](ReplicaId, const ChunkRequest&) {});
   // Not worth a transfer: manifest below floor + min_lag.
   EXPECT_FALSE(fetcher.consider(1, old_h.manifest, /*my_floor=*/9));
@@ -153,9 +163,10 @@ TEST(SnapshotFetcher, PrefersFresherManifestAndIgnoresShallowOnes) {
 TEST(SnapshotFetcher, SwitchesSourceAfterStallingOut) {
   FetchHarness h(512, 64);
   std::vector<ReplicaId> asked;
+  obs::Registry metrics;
   SnapshotFetcher fetcher({.window = 2, .stall_ticks = 1,
                            .max_retry_rounds = 2},
-                          [&](ReplicaId to, const ChunkRequest&) {
+                          metrics, [&](ReplicaId to, const ChunkRequest&) {
                             asked.push_back(to);
                           });
   ASSERT_TRUE(fetcher.consider(1, h.manifest, 0));
@@ -270,17 +281,23 @@ TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
   for (auto& t : threads) t.join();
 
   // Caught up via checkpoint transfer, not genesis replay.
-  const auto stats = nodes[4]->sync_stats();
-  EXPECT_GE(stats.snapshots_installed, 1u);
-  EXPECT_GE(stats.installed_upto, 200u);
-  EXPECT_GT(stats.fetch.chunks_received, 1u) << "multi-chunk transfer";
+  const obs::Registry& joiner = nodes[4]->metrics();
+  EXPECT_GE(
+      joiner.find<obs::Counter>("zlb_sync_snapshots_installed_total").value(),
+      1u);
+  const std::int64_t installed_upto =
+      joiner.find<obs::Gauge>("zlb_sync_installed_upto").value();
+  EXPECT_GE(installed_upto, 200);
+  EXPECT_GT(joiner.find<obs::Counter>("zlb_sync_chunks_received_total").value(),
+            1u)
+      << "multi-chunk transfer";
   // No genesis replay: the installed snapshot settled the bulk of
   // history without ever running those instances here. (A handful may
   // decide live in the instants before the transfer lands.)
   const auto joiner_decisions = nodes[4]->decisions();
   std::size_t below_watermark = 0;
   for (const auto& d : joiner_decisions) {
-    if (d.index < stats.installed_upto) ++below_watermark;
+    if (static_cast<std::int64_t>(d.index) < installed_upto) ++below_watermark;
   }
   EXPECT_LT(below_watermark, 100u)
       << "joiner executed most of history instance by instance";
@@ -298,7 +315,10 @@ TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
   // A veteran served the transfer.
   std::uint64_t served = 0;
   for (std::size_t i = 0; i < kVeterans; ++i) {
-    served += nodes[i]->sync_stats().chunks_served;
+    served += nodes[i]
+                  ->metrics()
+                  .find<obs::Counter>("zlb_sync_chunks_served_total")
+                  .value();
   }
   EXPECT_GT(served, 0u);
 }

@@ -1,10 +1,11 @@
-// Known-bad fixture pinning the COMMIT PATH shape of the io-under-lock
-// rule: the pre-pipeline decide→commit→apply path ran signature
-// verification, UTXO apply and the journal fsync while holding the
-// node-wide decisions lock — every client admission and metrics read
-// stalled on disk latency once per decided instance. The commit
-// pipeline moved those stages onto dedicated threads outside the lock;
-// this fixture keeps the rule honest so the pattern cannot creep back.
+// zlb_analyze fixture: MUST keep failing the lock-blocking checker.
+// It pins the COMMIT PATH shape: the pre-pipeline decide→commit→apply
+// path ran signature verification, UTXO apply and the journal fsync
+// while holding the node-wide decisions lock — every client admission
+// and metrics read stalled on disk latency once per decided instance.
+// The commit pipeline moved those stages onto dedicated threads outside
+// the lock; this fixture keeps the checker honest so the pattern cannot
+// creep back.
 #include <cstdio>
 
 namespace fixture {

@@ -1,6 +1,6 @@
-// Known-bad fixture for the `io-under-lock` rule: blocking file I/O
-// performed while a lock is held — every thread contending on that
-// lock now waits on disk latency.
+// zlb_analyze fixture: MUST keep failing the lock-blocking checker.
+// Blocking file I/O spelled directly inside the held lock scope — every
+// thread contending on that lock now waits on disk latency.
 #include <cstdio>
 
 namespace fixture {

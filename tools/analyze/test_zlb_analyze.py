@@ -40,6 +40,9 @@ FIXTURES = {
     "schema_drift": "wire-schema",
     "blocking_lock": "lock-blocking",
     "blocking_unique_ptr": "lock-blocking",
+    "blocking_inline": "lock-blocking",
+    "blocking_commit_path": "lock-blocking",
+    "blocking_stream": "lock-blocking",
 }
 
 ALL_CHECKERS = sorted(set(FIXTURES.values()))

@@ -37,10 +37,11 @@ invariants by dataflow over that model. Five checkers:
                   format change is an explicit, reviewed event.
   lock-blocking   Scope-aware blocking-I/O-under-lock: tracks held-lock
                   scopes through the real brace structure and the call
-                  graph, so blocking calls reached through any depth of
-                  helpers are caught (the lexical rule only sees calls
-                  spelled inside the lock scope), and flags potentially
-                  throwing calls between manual lock()/unlock() pairs.
+                  graph, so blocking calls made in the scope or reached
+                  through any depth of helpers are caught (a file
+                  stream constructed in the scope counts as one), and
+                  flags potentially throwing calls between manual
+                  lock()/unlock() pairs.
 
 Frontends: with the clang Python bindings + a compilation database the
 model is built from the real clang AST (tools/analyze/clang_frontend.py);
@@ -899,6 +900,9 @@ BLOCKING_LEAVES = {
     "sendto", "recvfrom", "read", "write", "rename", "remove", "getline",
     "open", "close", "fputs", "fgets", "unlink", "flush",
 }
+# File stream types: constructing one opens a file (and its destructor
+# flushes and closes it), so the construction is itself a blocking call.
+FILE_STREAMS = {"ofstream", "ifstream", "fstream"}
 # Writer/Reader and the annotated mutex wrapper are the verified trusted
 # core: their internals are exactly the bounds/locking machinery the
 # checkers assume, so they are modeled, not re-checked.
@@ -1100,7 +1104,9 @@ class Analyzer:
     def function_acquisitions(self, fn: Func, alias: dict[str, str]):
         """Scans fn's body: yields ('acq', lock, line, depth_at_acq,
         scope_close_idx) for MutexLock RAII acquisitions, plus manual
-        .lock()/.unlock() events, and ('call', Call, held_locks)."""
+        .lock()/.unlock() events, ('call', Call, held_locks) and
+        ('stream', Tok, held_locks) for a file stream type named while
+        a lock is held."""
         body = fn.body
         scope = self.func_scope_types(fn)
         events = []
@@ -1161,6 +1167,8 @@ class Analyzer:
                     close_idx = self._enclosing_scope_end(body, i)
                     held.append((lock, close_idx, t.line))
                 continue
+            if held and t.kind == "id" and t.text in FILE_STREAMS:
+                events.append(("stream", t, [h[0] for h in held], fn))
             while ci < len(calls) and calls[ci].idx < i:
                 ci += 1
             if ci < len(calls) and calls[ci].idx == i and held:
@@ -1934,8 +1942,7 @@ class Analyzer:
                     direct = True
                     break
             for t in fn.body:
-                if t.kind == "id" and t.text in ("ofstream", "ifstream",
-                                                 "fstream"):
+                if t.kind == "id" and t.text in FILE_STREAMS:
                     direct = True
                     break
             may[fn.qual] = direct
@@ -1966,24 +1973,28 @@ class Analyzer:
                 continue
             scope = self.func_scope_types(fn)
             for e in self.function_acquisitions(fn, alias):
-                if e[0] != "call":
-                    continue
-                call, held = e[1], e[2]
                 blocking_tgt = None
-                if call.name in BLOCKING_LEAVES:
-                    blocking_tgt = call.name
-                else:
-                    for tgt in self.resolve_call_targets(call, fn, scope):
-                        if may.get(tgt.qual):
-                            blocking_tgt = tgt.qual
-                            break
+                if e[0] == "stream":
+                    line, held = e[1].line, e[2]
+                    blocking_tgt = f"std::{e[1].text}"
+                elif e[0] == "call":
+                    call, held = e[1], e[2]
+                    line = call.line
+                    if call.name in BLOCKING_LEAVES:
+                        blocking_tgt = call.name
+                    else:
+                        for tgt in self.resolve_call_targets(call, fn,
+                                                             scope):
+                            if may.get(tgt.qual):
+                                blocking_tgt = tgt.qual
+                                break
                 if blocking_tgt is None:
                     continue
                 if self.allow.allowed("lock-blocking", fn.qual, fn.file,
                                       *held):
                     continue
                 self.findings.append(Finding(
-                    fn.file, call.line, "lock-blocking",
+                    fn.file, line, "lock-blocking",
                     f"{fn.qual} reaches blocking call {blocking_tgt} "
                     f"while holding {', '.join(sorted(set(held)))} "
                     "(found through the call graph): every thread "

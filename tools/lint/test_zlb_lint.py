@@ -25,7 +25,6 @@ ALLOW = HERE / "zlb_lint_allow.txt"
 
 FIXTURES = {
     "raw_mutex": "raw-mutex",
-    "io_under_lock": "io-under-lock",
     "nondet_iter": "nondet-iter",
     "wall_clock": "wall-clock",
     "obs_clock": "obs-clock",

@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """ZLB protocol-invariant linter — the purely LEXICAL rules.
 
-Five regex rules over the C++ sources, each protecting an invariant
+Four regex rules over the C++ sources, each protecting an invariant
 that is visible in the program text itself. Invariants that need real
 dataflow — epoch-bound signing bytes, encode/decode wire symmetry,
 interprocedural lock-order and blocking-under-lock — live in the
 semantic analyzer, tools/analyze/zlb_analyze.py, which replaced this
-linter's old `epoch-signing` and `encode-pair` rules.
+linter's old `epoch-signing`, `encode-pair` and `io-under-lock` rules.
 
   raw-mutex        Raw std::mutex / std::lock_guard / std::unique_lock /
                    std::condition_variable outside the annotated
                    common/mutex.hpp wrappers escapes the clang
                    -Wthread-safety analysis (the wrappers carry the
                    capability attributes; the std types do not).
-  io-under-lock    Blocking file/socket calls lexically inside a held
-                   lock scope stall every thread contending on that
-                   lock (and under decisions_mutex_ would stall the
-                   consensus loop on disk latency).
   nondet-iter      Iterating a std::unordered_map/unordered_set in a
                    protocol-visible path (src/consensus, src/zlb,
                    src/bm, src/asmr) leaks hash-table order into
@@ -39,7 +35,6 @@ linter's old `epoch-signing` and `encode-pair` rules.
 Vetted exceptions live in an allowlist file (see --allow):
 
   raw-mutex:<path-suffix>     file allowed to use std primitives
-  io-under-lock:<path-suffix>
   nondet-iter:<path-suffix>   iteration provably canonicalized (e.g.
                               sorted immediately after collection)
   wall-clock:<path-suffix>    additional sanctioned clock shim
@@ -62,16 +57,6 @@ RAW_MUTEX = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|shared_mutex|"
     r"lock_guard|unique_lock|scoped_lock|shared_lock|"
     r"condition_variable(_any)?)\b"
-)
-LOCK_DECL = re.compile(
-    r"\b(?:common::)?(?:MutexLock|std::lock_guard|std::unique_lock|"
-    r"std::scoped_lock)\b[^;{}]*\("
-)
-BLOCKING_CALL = re.compile(
-    r"\b(fopen|fclose|fread|fwrite|fflush|fsync|fdatasync|"
-    r"std::ofstream|std::ifstream|std::fstream|std::getline|"
-    r"sleep_for|sleep_until|::poll|::connect|::accept|::recv|::send|"
-    r"std::rename|std::remove)\b"
 )
 # `} name(...)` / `Type name(args) ... {` style definition headers. The
 # last path component of a qualified name is the lookup key: the call
@@ -176,32 +161,6 @@ def rule_raw_mutex(files: dict[Path, str],
                 path, line, "raw-mutex",
                 f"std::{m.group(1)} bypasses the annotated zlb::Mutex/"
                 "MutexLock wrappers (invisible to -Wthread-safety)"))
-    return findings
-
-
-def rule_io_under_lock(files: dict[Path, str],
-                       allow: dict[str, set[str]]) -> list[Finding]:
-    findings = []
-    for path, text in files.items():
-        if allowed_file(allow, "io-under-lock", path):
-            continue
-        lock_depths: list[int] = []  # brace depth at each held lock
-        depth = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if lock_depths and BLOCKING_CALL.search(line):
-                call = BLOCKING_CALL.search(line).group(1)
-                findings.append(Finding(
-                    path, lineno, "io-under-lock",
-                    f"blocking call {call} inside a held lock scope"))
-            if LOCK_DECL.search(line):
-                lock_depths.append(depth)
-            for ch in line:
-                if ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    while lock_depths and depth <= lock_depths[-1]:
-                        lock_depths.pop()
     return findings
 
 
@@ -341,7 +300,6 @@ def main() -> int:
 
     rules = {
         "raw-mutex": lambda: rule_raw_mutex(files, allow),
-        "io-under-lock": lambda: rule_io_under_lock(files, allow),
         "nondet-iter": lambda: rule_nondet_iter(files, allow),
         "wall-clock": lambda: rule_wall_clock(files, allow),
         "obs-clock": lambda: rule_obs_clock(files, allow),
