@@ -118,12 +118,11 @@ int main() {
   bm::BlockManager reborn;
   sync::CheckpointManager ckpt(
       sync::CheckpointConfig{dir + "/node0.wal.ckpt", kCheckpointEvery, 1024});
-  if (const auto snap = ckpt.load_disk()) {
-    reborn.restore(*snap);
+  if (const auto upto = ckpt.restore_disk(reborn)) {
     const auto replay = reborn.open_journal(dir + "/node0.wal");
     std::printf("== node0 restart: checkpoint wm=%llu + %zu journal blocks "
                 "(chain has %llu instances)\n",
-                static_cast<unsigned long long>(snap->upto),
+                static_cast<unsigned long long>(*upto),
                 replay ? replay->blocks : 0,
                 static_cast<unsigned long long>(kInstances));
   }

@@ -571,16 +571,15 @@ void Replica::handle_catchup(ReplicaId from, Reader& r) {
   next_index_ = catchup_index_[digest];
   const auto snap_it = catchup_snapshot_.find(digest);
   if (snap_it != catchup_snapshot_.end()) {
+    // Decoded once already, when it was offered: it cannot throw here.
     const Bytes& bytes = snap_it->second.second;
-    const sync::Snapshot snap =
-        sync::Snapshot::decode(BytesView(bytes.data(), bytes.size()));
-    bm_.restore(snap);
+    const InstanceId upto = bm_.restore(BytesView(bytes.data(), bytes.size()));
     metrics_.snapshot_installed = true;
-    metrics_.snapshot_upto = snap.upto;
+    metrics_.snapshot_upto = upto;
     // The image covers every block below its watermark: decisions
     // parked below it must not re-apply onto the restored state, and
     // the commit floor re-anchors at the watermark.
-    if (commit_floor_ < snap.upto) commit_floor_ = snap.upto;
+    if (commit_floor_ < upto) commit_floor_ = upto;
     parked_commits_.erase(parked_commits_.begin(),
                           parked_commits_.lower_bound(commit_floor_));
   }

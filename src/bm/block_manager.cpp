@@ -7,6 +7,59 @@
 
 namespace zlb::bm {
 
+namespace {
+
+/// BlockManager::restore's sink: a whole ledger in fresh containers,
+/// each live output's value held once (in `utxos.live`).
+struct LedgerImage final : sync::SnapshotSink {
+  InstanceId upto = 0;
+  chain::Amount deposit = 0;
+  chain::UtxoSet::Contents utxos;
+  std::unordered_set<chain::TxId, crypto::Hash32Hasher> txs;
+  std::map<chain::OutPoint, chain::Amount> inputs_deposit;
+  std::unordered_set<chain::Address, chain::AddressHasher> punished_set;
+
+  void header(InstanceId watermark, std::uint64_t mint_counter,
+              chain::Amount deposit_value) override {
+    upto = watermark;
+    utxos.mint_counter = mint_counter;
+    deposit = deposit_value;
+  }
+  void section(Section section, std::size_t count) override {
+    switch (section) {
+      case Section::kUtxos:
+        utxos.live.reserve(count);
+        break;
+      case Section::kArchive:
+        // The walker rejects an archive missing a live output.
+        utxos.spent.reserve(count - std::min(count, utxos.live.size()));
+        break;
+      case Section::kKnownTxs:
+        txs.reserve(count);
+        break;
+      case Section::kInputsDeposit:
+      case Section::kPunished:
+        break;
+    }
+  }
+  void utxo(const chain::OutPoint& op, const chain::TxOut& out) override {
+    utxos.live.emplace(op, out);
+  }
+  void archived(const chain::OutPoint& op, chain::Amount value,
+                bool live) override {
+    if (!live) utxos.spent.emplace(op, value);
+  }
+  void known_tx(const chain::TxId& id) override { txs.insert(id); }
+  void input_deposit(const chain::OutPoint& op, chain::Amount value) override {
+    inputs_deposit.emplace_hint(inputs_deposit.end(), op, value);
+  }
+  void punished(const chain::Address& account) override {
+    punished_set.insert(account);
+  }
+};
+
+}  // namespace
+
 std::vector<std::uint8_t> BlockManager::batch_verify_block(
     const chain::Block& block) {
   // Fan the block's input signatures across the thread pool in one
@@ -294,19 +347,22 @@ sync::SnapshotDelta BlockManager::take_delta(InstanceId upto) {
   return d;
 }
 
-void BlockManager::restore(const sync::Snapshot& snap) {
-  utxos_.restore(snap.utxos, snap.ever_values, snap.mint_counter);
+InstanceId BlockManager::restore(BytesView image) {
+  LedgerImage fresh;
+  sync::walk_snapshot(image, fresh);  // throws before anything changed
+  utxos_.restore(std::move(fresh.utxos));
   new_txs_.clear();
-  change_base_ = snap.upto;
-  deposit_ = snap.deposit;
-  txs_.clear();
-  txs_.insert(snap.known_txs.begin(), snap.known_txs.end());
-  inputs_deposit_.clear();
-  for (const auto& [op, value] : snap.inputs_deposit) {
-    inputs_deposit_.emplace(op, value);
-  }
-  punished_.clear();
-  punished_.insert(snap.punished.begin(), snap.punished.end());
+  change_base_ = fresh.upto;
+  deposit_ = fresh.deposit;
+  txs_ = std::move(fresh.txs);
+  inputs_deposit_ = std::move(fresh.inputs_deposit);
+  punished_ = std::move(fresh.punished_set);
+  return fresh.upto;
+}
+
+void BlockManager::restore(const sync::Snapshot& snap) {
+  const Bytes image = snap.encode();
+  (void)restore(BytesView(image.data(), image.size()));
 }
 
 void BlockManager::commit_tx_merge(const chain::Transaction& tx) {

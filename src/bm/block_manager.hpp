@@ -150,12 +150,20 @@ class BlockManager {
   /// Checkpoint export: the full ledger state with watermark `upto`
   /// (every section in canonical sorted order).
   [[nodiscard]] sync::Snapshot snapshot(InstanceId upto) const;
-  /// Installs a snapshot wholesale, replacing the ledger state (UTXO
-  /// set, known txs, deposit accounting, punished set). The block store
-  /// and any attached journal are untouched: blocks below the watermark
-  /// are represented by the snapshot, the post-watermark tail replays
-  /// on top (re-application dedups by txid). Resets the change log to
-  /// the snapshot's watermark.
+  /// Installs an encoded snapshot (Snapshot::encode() bytes) wholesale,
+  /// replacing the ledger state (UTXO set, known txs, deposit
+  /// accounting, punished set) and returning its watermark. One pass:
+  /// sync::walk_snapshot() decodes the records straight into fresh
+  /// containers, which replace the ledger's only once the whole image
+  /// decoded — a malformed image throws DecodeError and leaves the
+  /// ledger, its change log and change_base() as they were. The block
+  /// store and any attached journal are untouched: blocks below the
+  /// watermark are represented by the snapshot, the post-watermark
+  /// tail replays on top (re-application dedups by txid). Resets the
+  /// change log to the snapshot's watermark.
+  InstanceId restore(BytesView image);
+  /// The same for a decoded snapshot (through its encoding, so through
+  /// the same decoder: a snapshot Snapshot::decode would reject throws).
   void restore(const sync::Snapshot& snap);
 
   /// Starts the change log for incremental checkpoints: the UTXO set

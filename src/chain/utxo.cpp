@@ -25,10 +25,23 @@ OutPoint UtxoSet::mint(const Address& to, Amount value) {
   OutPoint op;
   op.txid = crypto::sha256(BytesView(w.data().data(), w.data().size()));
   op.index = 0;
-  table_[op] = TxOut{value, to};
-  ever_[op] = value;
-  note(op);
+  create(op, TxOut{value, to});
   return op;
+}
+
+void UtxoSet::create(const OutPoint& op, const TxOut& out) {
+  table_[op] = out;
+  spent_values_.erase(op);
+  note(op);
+}
+
+void UtxoSet::spend(const OutPoint& op) {
+  const auto it = table_.find(op);
+  if (it != table_.end()) {
+    spent_values_.insert_or_assign(op, it->second.value);
+    table_.erase(it);
+  }
+  note(op);
 }
 
 std::optional<TxOut> UtxoSet::get(const OutPoint& op) const {
@@ -69,10 +82,7 @@ TxCheck UtxoSet::check(const Transaction& tx, bool verify_sigs) const {
 TxCheck UtxoSet::apply(const Transaction& tx, bool verify_sigs) {
   const TxCheck result = check(tx, verify_sigs);
   if (result != TxCheck::kOk) return result;
-  for (const auto& in : tx.inputs) {
-    table_.erase(in.prev);
-    note(in.prev);
-  }
+  for (const auto& in : tx.inputs) spend(in.prev);
   insert_outputs(tx);
   return TxCheck::kOk;
 }
@@ -80,16 +90,16 @@ TxCheck UtxoSet::apply(const Transaction& tx, bool verify_sigs) {
 void UtxoSet::insert_outputs(const Transaction& tx) {
   const TxId txid = tx.id();
   for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
-    const OutPoint op{txid, i};
-    table_[op] = tx.outputs[i];
-    ever_[op] = tx.outputs[i].value;
-    note(op);
+    create(OutPoint{txid, i}, tx.outputs[i]);
   }
 }
 
 std::optional<Amount> UtxoSet::value_of(const OutPoint& op) const {
-  const auto it = ever_.find(op);
-  if (it == ever_.end()) return std::nullopt;
+  if (const auto it = table_.find(op); it != table_.end()) {
+    return it->second.value;
+  }
+  const auto it = spent_values_.find(op);
+  if (it == spent_values_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -101,22 +111,19 @@ std::vector<std::pair<OutPoint, TxOut>> UtxoSet::entries() const {
 }
 
 std::vector<std::pair<OutPoint, Amount>> UtxoSet::ever_entries() const {
-  std::vector<std::pair<OutPoint, Amount>> out(ever_.begin(), ever_.end());
+  std::vector<std::pair<OutPoint, Amount>> out;
+  out.reserve(table_.size() + spent_values_.size());
+  for (const auto& [op, txo] : table_) out.emplace_back(op, txo.value);
+  out.insert(out.end(), spent_values_.begin(), spent_values_.end());
   std::sort(out.begin(), out.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   return out;
 }
 
-void UtxoSet::restore(const std::vector<std::pair<OutPoint, TxOut>>& live,
-                      const std::vector<std::pair<OutPoint, Amount>>& ever,
-                      std::uint64_t mint_counter) {
-  table_.clear();
-  ever_.clear();
-  table_.reserve(live.size());
-  ever_.reserve(ever.size());
-  for (const auto& [op, out] : live) table_.emplace(op, out);
-  for (const auto& [op, value] : ever) ever_.emplace(op, value);
-  mint_counter_ = mint_counter;
+void UtxoSet::restore(Contents contents) {
+  table_ = std::move(contents.live);
+  spent_values_ = std::move(contents.spent);
+  mint_counter_ = contents.mint_counter;
   touched_.clear();
 }
 

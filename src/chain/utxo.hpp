@@ -46,10 +46,7 @@ class UtxoSet {
   TxCheck apply(const Transaction& tx, bool verify_sigs = true);
 
   /// Consumes one outpoint unconditionally (merge path, Alg. 2 line 23).
-  void consume(const OutPoint& op) {
-    table_.erase(op);
-    note(op);
-  }
+  void consume(const OutPoint& op) { spend(op); }
   /// Inserts outputs of `tx` unconditionally (merge path).
   void insert_outputs(const Transaction& tx);
 
@@ -60,29 +57,34 @@ class UtxoSet {
   [[nodiscard]] std::vector<std::pair<OutPoint, TxOut>> owned_by(
       const Address& a) const;
 
-  /// Value of any output ever created (live or spent). Needed by the
-  /// Blockchain Manager to price conflicting inputs (Alg. 2 line 22).
+  /// Value of any output ever created (live or spent): the live table
+  /// first, then the archive of spent values. Needed by the Blockchain
+  /// Manager to price conflicting inputs (Alg. 2 line 22).
   [[nodiscard]] std::optional<Amount> value_of(const OutPoint& op) const;
 
   /// Deterministic export for the checkpoint/state-sync subsystem: the
-  /// live table and the ever-created archive, sorted by outpoint.
+  /// live table, and the value of every output ever created (live and
+  /// spent), sorted by outpoint.
   [[nodiscard]] std::vector<std::pair<OutPoint, TxOut>> entries() const;
   [[nodiscard]] std::vector<std::pair<OutPoint, Amount>> ever_entries() const;
   [[nodiscard]] std::uint64_t mint_counter() const { return mint_counter_; }
 
-  /// Replaces the whole set with snapshot contents (the inverse of
-  /// entries()/ever_entries()). The pubkey memo is kept — it caches
-  /// pure decompression results, valid across states. Clears the
-  /// change log: the restored contents are the new base.
-  void restore(const std::vector<std::pair<OutPoint, TxOut>>& live,
-               const std::vector<std::pair<OutPoint, Amount>>& ever,
-               std::uint64_t mint_counter);
+  /// A whole set's state, built apart from any set and installed by
+  /// restore(). `live` and `spent` must not share an outpoint.
+  struct Contents {
+    std::unordered_map<OutPoint, TxOut, OutPointHasher> live;
+    std::unordered_map<OutPoint, Amount, OutPointHasher> spent;
+    std::uint64_t mint_counter = 0;
+  };
+  /// Replaces the whole set with `contents`. The pubkey memo is kept —
+  /// it caches pure decompression results, valid across states. Clears
+  /// the change log: the restored contents are the new base.
+  void restore(Contents contents);
 
   /// Starts the change log for incremental checkpoints: from now on,
-  /// every outpoint whose live entry is inserted or erased, or whose
-  /// archive value is inserted, is appended (unsorted, possibly
-  /// repeated). Not state: it stays out of every export, digest and
-  /// fingerprint.
+  /// every outpoint that is created or spent is appended (unsorted,
+  /// possibly repeated). Not state: it stays out of every export,
+  /// digest and fingerprint.
   void track_changes() {
     tracking_ = true;
     touched_.clear();
@@ -102,8 +104,11 @@ class UtxoSet {
   }
 
  private:
+  /// Live outputs.
   std::unordered_map<OutPoint, TxOut, OutPointHasher> table_;
-  std::unordered_map<OutPoint, Amount, OutPointHasher> ever_;
+  /// Values of spent outputs: with table_, the value of every output
+  /// ever created, each held once (no outpoint is in both).
+  std::unordered_map<OutPoint, Amount, OutPointHasher> spent_values_;
   std::uint64_t mint_counter_ = 0;
   mutable crypto::PubkeyCache pk_cache_;
   bool tracking_ = false;
@@ -112,6 +117,10 @@ class UtxoSet {
   void note(const OutPoint& op) {
     if (tracking_) touched_.push_back(op);
   }
+  /// Makes `op` a live output.
+  void create(const OutPoint& op, const TxOut& out);
+  /// Erases `op` from the live table, archiving its value.
+  void spend(const OutPoint& op);
 };
 
 }  // namespace zlb::chain

@@ -2039,19 +2039,19 @@ void LiveNode::settle_below(InstanceId upto) {
 }
 
 void LiveNode::install_snapshot_bytes(const Bytes& bytes) {
-  sync::Snapshot snap;
+  const BytesView image(bytes.data(), bytes.size());
+  InstanceId upto = 0;
   try {
-    snap = sync::Snapshot::decode(BytesView(bytes.data(), bytes.size()));
+    upto = sync::snapshot_watermark(image);
   } catch (const DecodeError&) {
-    // The chunks verified against the signed root, so the *servers*
-    // committed to garbage — drop it and wait for another manifest.
     snapshots_rejected_->inc();
     return;
   }
   // Only worth installing if it moves our *contiguous* floor forward:
   // restoring an image older than what we already executed would
-  // rewind the ledger past live-committed blocks.
-  if (snap.upto <= decision_floor()) return;
+  // rewind the ledger past live-committed blocks. The header says so
+  // before anything is decoded.
+  if (upto <= decision_floor()) return;
   // Quiesce the commit pipeline before the restore replaces the state
   // it applies onto: after drain() the committer is parked waiting for
   // the (gapped) next instance, and nothing new can be submitted —
@@ -2059,27 +2059,33 @@ void LiveNode::install_snapshot_bytes(const Bytes& bytes) {
   // drain() under decisions_mutex_ would deadlock against the flush
   // hook.
   if (pipeline_ != nullptr) pipeline_->drain();
-  {
+  try {
     const common::MutexLock ledger(ledger_mutex_);
-    bm_.restore(snap);
+    (void)bm_.restore(image);
+  } catch (const DecodeError&) {
+    // The chunks verified against the signed root, so the *servers*
+    // committed to garbage — the ledger is as it was; drop the image
+    // and wait for another manifest.
+    snapshots_rejected_->inc();
+    return;
   }
   snapshots_installed_->inc();
-  installed_upto_->set(static_cast<std::int64_t>(snap.upto));
+  installed_upto_->set(static_cast<std::int64_t>(upto));
   // Adopt the image as our own checkpoint: the disk (when journaled)
   // must represent the installed state across a restart, and we can
   // serve the same transfer to the next joiner.
   if (ckpt_ != nullptr) {
-    (void)ckpt_->adopt(snap.upto, bytes, epoch_of(snap.upto).value_or(epoch_));
+    (void)ckpt_->adopt(upto, bytes, epoch_of(upto).value_or(epoch_));
   }
   ZLB_RTRACE("[%u] snapshot installed upto=%llu", config_.me,
-             static_cast<unsigned long long>(snap.upto));
-  settle_below(snap.upto);
+             static_cast<unsigned long long>(upto));
+  settle_below(upto);
   // Everything the pipeline already committed is below the watermark
   // (covered by the installed image); decided-but-uncommitted instances
   // beyond it are still parked inside the pipeline and apply later on
   // top of the restored state. Settling the pipeline drops the covered
   // history and re-anchors its commit cursor at the watermark.
-  if (pipeline_ != nullptr) pipeline_->settle_to(snap.upto);
+  if (pipeline_ != nullptr) pipeline_->settle_to(upto);
   // Participate from the watermark on: the tail either decides with us
   // or arrives by wire replay once our (now much higher) floor stalls.
   if (!all_decided() && current_ < config_.instances) pace();
@@ -2236,20 +2242,13 @@ void LiveNode::run(Duration deadline) {
     // restart cost is O(checkpoint interval), not O(chain). Epoch
     // records in the journal rebuild the membership history, so the
     // node rejoins under the committee it last decided with.
-    bool restored = false;
-    InstanceId restored_upto = 0;
+    std::optional<InstanceId> restored_upto;
     {
       // Both domains: restore/open_journal mutate the ledger, while the
       // epoch-record replay rebuilds decisions-domain membership state.
       const common::MutexLock lock(decisions_mutex_);
       const common::MutexLock ledger(ledger_mutex_);
-      if (ckpt_ != nullptr) {
-        if (const auto snap = ckpt_->load_disk()) {
-          bm_.restore(*snap);
-          restored = true;
-          restored_upto = snap->upto;
-        }
-      }
+      if (ckpt_ != nullptr) restored_upto = ckpt_->restore_disk(bm_);
       if (!config_.journal_path.empty()) {
         (void)bm_.open_journal(
             config_.journal_path, [this](const chain::EpochRecord& rec) {
@@ -2261,11 +2260,11 @@ void LiveNode::run(Duration deadline) {
             });
       }
     }
-    if (restored) {
-      settle_below(restored_upto);
+    if (restored_upto) {
+      settle_below(*restored_upto);
       // The restored image covers everything below the watermark; the
       // pipeline must not re-apply it.
-      if (pipeline_ != nullptr) pipeline_->settle_to(restored_upto);
+      if (pipeline_ != nullptr) pipeline_->settle_to(*restored_upto);
     }
     if (epoch_ > 0) retarget_transport();
   }

@@ -397,8 +397,9 @@ class LiveNode {
   void send_manifest(ReplicaId to) EXCLUDES(decisions_mutex_);
   void serve_chunks(ReplicaId to, const sync::ChunkRequest& req)
       EXCLUDES(decisions_mutex_);
-  /// Assembled+verified image bytes arrived: decode, restore the
-  /// ledger, settle every covered instance.
+  /// Assembled+verified image bytes arrived: unless the header's
+  /// watermark is stale, restore the ledger from the bytes (all or
+  /// nothing) and settle every covered instance.
   void install_snapshot_bytes(const Bytes& bytes)
       EXCLUDES(decisions_mutex_);
   /// Marks instances below `upto` decided-without-engines (snapshot

@@ -306,7 +306,7 @@ bool CheckpointManager::write_disk(const CheckpointImage& image) const {
   return true;
 }
 
-std::optional<CheckpointManager::Loaded> CheckpointManager::read_file(
+std::optional<CheckpointImage> CheckpointManager::read_file(
     const std::string& path, std::size_t chunk_size) {
   // Header first, then the image straight into its own buffer: no
   // second full-size copy, and no decode before the image verified.
@@ -372,41 +372,58 @@ std::optional<CheckpointManager::Loaded> CheckpointManager::read_file(
   } else if (chain::crc32(view) != crc) {
     return std::nullopt;
   }
-  Loaded out;
-  try {
-    // The one decode: what restore() consumes.
-    out.snapshot = Snapshot::decode(view);
-  } catch (const DecodeError&) {
-    return std::nullopt;
+  if (!tree) {
+    return CheckpointImage::from_bytes(upto, std::move(bytes), chunk_size,
+                                       epoch);
   }
-  if (tree) {
-    out.image.upto = upto;
-    out.image.epoch = epoch;
-    out.image.chunk_size = chunk_size;
-    out.image.bytes = std::move(bytes);
-    out.image.tree = std::move(*tree);
-  } else {
-    out.image = CheckpointImage::from_bytes(upto, std::move(bytes),
-                                            chunk_size, epoch);
-  }
-  return out;
+  CheckpointImage image;
+  image.upto = upto;
+  image.epoch = epoch;
+  image.chunk_size = chunk_size;
+  image.bytes = std::move(bytes);
+  image.tree = std::move(*tree);
+  return image;
 }
 
-std::optional<Snapshot> CheckpointManager::load_disk() {
+std::optional<InstanceId> CheckpointManager::load_verified(
+    const std::function<void(BytesView)>& install) {
   if (config_.path.empty()) return std::nullopt;
-  auto loaded = read_file(config_.path, config_.chunk_size);
-  const bool latest_intact = loaded.has_value();
-  if (!loaded) loaded = read_file(config_.path + ".prev", config_.chunk_size);
-  if (!loaded) return std::nullopt;
-  const InstanceId upto = loaded->image.upto;
+  std::optional<CheckpointImage> image;
+  bool latest_intact = false;
+  for (const std::string& path : {config_.path, config_.path + ".prev"}) {
+    image = read_file(path, config_.chunk_size);
+    if (!image) continue;
+    try {
+      install(BytesView(image->bytes.data(), image->bytes.size()));
+    } catch (const DecodeError&) {
+      image.reset();
+      continue;
+    }
+    latest_intact = path == config_.path;
+    break;
+  }
+  if (!image) return std::nullopt;
+  const InstanceId upto = image->upto;
   const MutexLock lock(mu_);
   // A damaged <path> rotates into .prev on the next write, so nothing
   // may be compacted against it.
   disk_upto_ = latest_intact ? std::optional<InstanceId>(upto) : std::nullopt;
-  published_ =
-      std::make_shared<const CheckpointImage>(std::move(loaded->image));
+  published_ = std::make_shared<const CheckpointImage>(std::move(*image));
   tail_ = upto;
-  return std::move(loaded->snapshot);
+  return upto;
+}
+
+std::optional<Snapshot> CheckpointManager::load_disk() {
+  std::optional<Snapshot> snap;
+  (void)load_verified(
+      [&snap](BytesView bytes) { snap = Snapshot::decode(bytes); });
+  return snap;
+}
+
+std::optional<InstanceId> CheckpointManager::restore_disk(
+    bm::BlockManager& ledger) {
+  return load_verified(
+      [&ledger](BytesView bytes) { (void)ledger.restore(bytes); });
 }
 
 std::shared_ptr<const CheckpointImage> CheckpointManager::image() const {

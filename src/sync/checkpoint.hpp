@@ -162,6 +162,14 @@ class CheckpointManager {
   /// <path>.prev when the latest is damaged), publishes it and returns
   /// the decoded snapshot for BlockManager::restore().
   [[nodiscard]] std::optional<Snapshot> load_disk() EXCLUDES(mu_);
+  /// Startup with no Snapshot in between: restores the verified image
+  /// bytes straight into `ledger` (BlockManager::restore(BytesView)),
+  /// falling back to <path>.prev when the latest file fails its merkle
+  /// root check or its decode, and publishes the image as load_disk()
+  /// does. Returns its watermark; nullopt, with `ledger` untouched,
+  /// when no file holds an intact image.
+  [[nodiscard]] std::optional<InstanceId> restore_disk(
+      bm::BlockManager& ledger) EXCLUDES(mu_);
 
   /// The published image, alive for as long as the caller holds it.
   [[nodiscard]] std::shared_ptr<const CheckpointImage> image() const
@@ -194,11 +202,13 @@ class CheckpointManager {
   void build(Job& job, bool on_writer) EXCLUDES(mu_);
   void writer_loop() EXCLUDES(mu_);
   [[nodiscard]] bool write_disk(const CheckpointImage& image) const;
-  struct Loaded {
-    CheckpointImage image;
-    Snapshot snapshot;
-  };
-  [[nodiscard]] static std::optional<Loaded> read_file(
+  /// The image of the first file (<path>, then <path>.prev) that
+  /// verifies and that `install` accepts (DecodeError rejects it),
+  /// published; its watermark.
+  [[nodiscard]] std::optional<InstanceId> load_verified(
+      const std::function<void(BytesView)>& install) EXCLUDES(mu_);
+  /// A file's image once its merkle root (CRC before v3) verified.
+  [[nodiscard]] static std::optional<CheckpointImage> read_file(
       const std::string& path, std::size_t chunk_size);
 
   const CheckpointConfig config_;

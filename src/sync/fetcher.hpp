@@ -6,7 +6,7 @@
 // caller's resync cadence, and can retarget to a fresher manifest or
 // switch sources when the current one stalls. The caller owns signature
 // verification (the fetcher never sees the scheme) and the install step
-// (decode + BlockManager::restore).
+// (BlockManager::restore of the assembled bytes).
 //
 // Cross-validated roots: with manifest_quorum > 1, a root is only
 // trusted — and a transfer only starts — once that many DISTINCT

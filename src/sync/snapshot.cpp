@@ -1,7 +1,9 @@
 #include "sync/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "common/serde.hpp"
@@ -208,19 +210,51 @@ std::uint8_t* put_header(std::uint8_t* p, InstanceId upto,
   return put_u64(p, static_cast<std::uint64_t>(deposit));
 }
 
+/// Fixed-size fields are read in place (Reader::view), not copied out.
+template <std::size_t N>
+void get_array(Reader& r, std::array<std::uint8_t, N>& out) {
+  const BytesView in = r.view(N);
+  std::copy(in.begin(), in.end(), out.begin());
+}
+
 chain::OutPoint get_outpoint(Reader& r) {
   chain::OutPoint op;
-  const Bytes txid = r.raw(32);
-  std::copy(txid.begin(), txid.end(), op.txid.begin());
+  get_array(r, op.txid);
   op.index = r.u32();
   return op;
 }
 
 chain::Address get_address(Reader& r) {
   chain::Address a;
-  const Bytes raw = r.raw(20);
-  std::copy(raw.begin(), raw.end(), a.data.begin());
+  get_array(r, a.data);
   return a;
+}
+
+struct Header {
+  InstanceId upto = 0;
+  std::uint64_t mint_counter = 0;
+  chain::Amount deposit = 0;
+};
+
+Header get_header(Reader& r) {
+  if (r.u32() != kSnapshotMagic) throw DecodeError("snapshot: bad magic");
+  if (r.u32() != Snapshot::kVersion) {
+    throw DecodeError("snapshot: bad version");
+  }
+  Header h;
+  h.upto = r.u64();
+  h.mint_counter = r.u64();
+  h.deposit = r.i64();
+  return h;
+}
+
+/// The value field of an encoded utxo record.
+chain::Amount record_value(const std::uint8_t* rec) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(rec[kOutPointBytes + i]) << (8 * i);
+  }
+  return static_cast<chain::Amount>(v);
 }
 
 /// Section count guarded against length-prefix abuse; each section has
@@ -237,14 +271,64 @@ std::size_t checked_count(Reader& r, std::size_t min_entry_bytes,
   }
 }
 
-template <typename T, typename Less>
-void expect_sorted(const std::vector<T>& v, Less less, const char* what) {
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (!less(v[i - 1], v[i])) {
-      throw DecodeError(std::string("snapshot: unsorted ") + what);
+/// Canonical form: each section's keys ascend strictly (which also
+/// bans duplicates).
+template <typename Key>
+class Ascending {
+ public:
+  explicit Ascending(const char* what) : what_(what) {}
+  void check(const Key& key) {
+    if (last_ && !(*last_ < key)) {
+      throw DecodeError(std::string("snapshot: unsorted ") + what_);
+    }
+    last_ = key;
+  }
+
+ private:
+  const char* what_;
+  std::optional<Key> last_;
+};
+
+/// Snapshot::decode's sink: the sections as sorted vectors.
+class VectorSink final : public SnapshotSink {
+ public:
+  explicit VectorSink(Snapshot& s) : s_(s) {}
+
+  void header(InstanceId upto, std::uint64_t mint_counter,
+              chain::Amount deposit) override {
+    s_.upto = upto;
+    s_.mint_counter = mint_counter;
+    s_.deposit = deposit;
+  }
+  void section(Section section, std::size_t count) override {
+    switch (section) {
+      case Section::kUtxos: s_.utxos.reserve(count); break;
+      case Section::kArchive: s_.ever_values.reserve(count); break;
+      case Section::kKnownTxs: s_.known_txs.reserve(count); break;
+      case Section::kInputsDeposit: s_.inputs_deposit.reserve(count); break;
+      case Section::kPunished: s_.punished.reserve(count); break;
     }
   }
-}
+  void utxo(const chain::OutPoint& op, const chain::TxOut& out) override {
+    s_.utxos.emplace_back(op, out);
+  }
+  void archived(const chain::OutPoint& op, chain::Amount value,
+                bool /*live*/) override {
+    s_.ever_values.emplace_back(op, value);
+  }
+  void known_tx(const chain::TxId& id) override {
+    s_.known_txs.push_back(id);
+  }
+  void input_deposit(const chain::OutPoint& op, chain::Amount value) override {
+    s_.inputs_deposit.emplace_back(op, value);
+  }
+  void punished(const chain::Address& account) override {
+    s_.punished.push_back(account);
+  }
+
+ private:
+  Snapshot& s_;
+};
 
 }  // namespace
 
@@ -288,11 +372,7 @@ Bytes SnapshotDelta::apply_to(BytesView base) const {
   Section base_utxos, base_ever, base_txs;
   if (!base.empty()) {
     Reader r(base);
-    if (r.u32() != kSnapshotMagic) throw DecodeError("snapshot: bad magic");
-    if (r.u32() != Snapshot::kVersion) {
-      throw DecodeError("snapshot: bad version");
-    }
-    (void)r.view(kHeaderBytes - 8);
+    (void)get_header(r);
     const auto section = [&r](std::size_t rec) {
       Section sec;
       sec.count = static_cast<std::size_t>(
@@ -325,67 +405,96 @@ Bytes SnapshotDelta::apply_to(BytesView base) const {
   return out;
 }
 
-Snapshot Snapshot::decode(BytesView data) {
+void walk_snapshot(BytesView data, SnapshotSink& sink) {
+  using S = SnapshotSink::Section;
   Reader r(data);
-  if (r.u32() != kSnapshotMagic) throw DecodeError("snapshot: bad magic");
-  if (r.u32() != kVersion) throw DecodeError("snapshot: bad version");
-  Snapshot s;
-  s.upto = r.u64();
-  s.mint_counter = r.u64();
-  s.deposit = r.i64();
+  const Header h = get_header(r);
+  sink.header(h.upto, h.mint_counter, h.deposit);
 
-  const std::size_t n_utxo = checked_count(r, 36 + 8 + 20, "utxos");
-  s.utxos.reserve(n_utxo);
+  const std::size_t n_utxo = checked_count(r, kUtxoBytes, "utxos");
+  // The live records, kept in place to check the archive against.
+  const BytesView live =
+      data.subspan(data.size() - r.remaining(), n_utxo * kUtxoBytes);
+  sink.section(S::kUtxos, n_utxo);
+  Ascending<chain::OutPoint> utxo_order("utxos");
   for (std::size_t i = 0; i < n_utxo; ++i) {
     const chain::OutPoint op = get_outpoint(r);
     chain::TxOut out;
     out.value = r.i64();
     out.to = get_address(r);
-    s.utxos.emplace_back(op, out);
+    utxo_order.check(op);
+    sink.utxo(op, out);
   }
-  const std::size_t n_ever = checked_count(r, 36 + 8, "ever_values");
-  s.ever_values.reserve(n_ever);
+
+  const std::size_t n_ever = checked_count(r, kValueBytes, "ever_values");
+  sink.section(S::kArchive, n_ever);
+  Ascending<chain::OutPoint> ever_order("ever_values");
+  // Both sections ascend, so one merge pass finds each live output's
+  // archive entry: `matched` live records have been found so far.
+  std::size_t matched = 0;
   for (std::size_t i = 0; i < n_ever; ++i) {
     const chain::OutPoint op = get_outpoint(r);
-    const chain::Amount v = r.i64();
-    s.ever_values.emplace_back(op, v);
+    const chain::Amount value = r.i64();
+    ever_order.check(op);
+    bool is_live = false;
+    if (matched < n_utxo) {
+      const std::uint8_t* rec = live.data() + matched * kUtxoBytes;
+      const int c = compare_record(rec, op);
+      if (c < 0) throw DecodeError("snapshot: live output not archived");
+      if (c == 0) {
+        if (record_value(rec) != value) {
+          throw DecodeError("snapshot: archived value differs from live");
+        }
+        is_live = true;
+        ++matched;
+      }
+    }
+    sink.archived(op, value, is_live);
   }
-  const std::size_t n_txs = checked_count(r, 32, "known_txs");
-  s.known_txs.reserve(n_txs);
+  if (matched != n_utxo) {
+    throw DecodeError("snapshot: live output not archived");
+  }
+
+  const std::size_t n_txs = checked_count(r, kTxIdBytes, "known_txs");
+  sink.section(S::kKnownTxs, n_txs);
+  Ascending<chain::TxId> tx_order("known_txs");
   for (std::size_t i = 0; i < n_txs; ++i) {
     chain::TxId id;
-    const Bytes raw = r.raw(32);
-    std::copy(raw.begin(), raw.end(), id.begin());
-    s.known_txs.push_back(id);
+    get_array(r, id);
+    tx_order.check(id);
+    sink.known_tx(id);
   }
-  const std::size_t n_dep = checked_count(r, 36 + 8, "inputs_deposit");
-  s.inputs_deposit.reserve(n_dep);
+
+  const std::size_t n_dep = checked_count(r, kValueBytes, "inputs_deposit");
+  sink.section(S::kInputsDeposit, n_dep);
+  Ascending<chain::OutPoint> dep_order("inputs_deposit");
   for (std::size_t i = 0; i < n_dep; ++i) {
     const chain::OutPoint op = get_outpoint(r);
-    const chain::Amount v = r.i64();
-    s.inputs_deposit.emplace_back(op, v);
+    const chain::Amount value = r.i64();
+    dep_order.check(op);
+    sink.input_deposit(op, value);
   }
-  const std::size_t n_pun = checked_count(r, 20, "punished");
-  s.punished.reserve(n_pun);
+
+  const std::size_t n_pun = checked_count(r, kAddressBytes, "punished");
+  sink.section(S::kPunished, n_pun);
+  Ascending<chain::Address> pun_order("punished");
   for (std::size_t i = 0; i < n_pun; ++i) {
-    s.punished.push_back(get_address(r));
+    const chain::Address a = get_address(r);
+    pun_order.check(a);
+    sink.punished(a);
   }
   r.expect_done();
+}
 
-  // Canonical form: strictly ascending sections (also bans duplicates).
-  const auto by_op = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
-  expect_sorted(s.utxos, by_op, "utxos");
-  expect_sorted(s.ever_values, by_op, "ever_values");
-  expect_sorted(s.known_txs,
-                [](const chain::TxId& a, const chain::TxId& b) { return a < b; },
-                "known_txs");
-  expect_sorted(s.inputs_deposit, by_op, "inputs_deposit");
-  expect_sorted(
-      s.punished,
-      [](const chain::Address& a, const chain::Address& b) { return a < b; },
-      "punished");
+InstanceId snapshot_watermark(BytesView data) {
+  Reader r(data);
+  return get_header(r).upto;
+}
+
+Snapshot Snapshot::decode(BytesView data) {
+  Snapshot s;
+  VectorSink sink(s);
+  walk_snapshot(data, sink);
   return s;
 }
 

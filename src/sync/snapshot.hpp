@@ -31,7 +31,8 @@ struct Snapshot {
   std::vector<std::pair<chain::OutPoint, chain::TxOut>> utxos;
   /// Value of every output ever created (live or spent), sorted by
   /// outpoint — the Blockchain Manager prices conflicting inputs from
-  /// this archive (Alg. 2 line 22).
+  /// this archive (Alg. 2 line 22). Every live output appears here with
+  /// its value; an image where one does not is malformed.
   std::vector<std::pair<chain::OutPoint, chain::Amount>> ever_values;
   /// Ids of every committed transaction, sorted.
   std::vector<chain::TxId> known_txs;
@@ -43,8 +44,10 @@ struct Snapshot {
   /// Canonical encoding (header + sorted sections). The producer must
   /// hand over sorted sections; encode() does not re-sort.
   [[nodiscard]] Bytes encode() const;
-  /// Strict decode: throws DecodeError on truncation, trailing bytes,
-  /// unsorted or duplicate entries, or absurd section counts.
+  /// Strict decode (walk_snapshot() into these vectors): throws
+  /// DecodeError on truncation, trailing bytes, unsorted or duplicate
+  /// entries, absurd section counts, or an archive that does not repeat
+  /// every live output with its value.
   [[nodiscard]] static Snapshot decode(BytesView data);
 
   /// Digest over the state sections only (everything except `upto`), so
@@ -85,6 +88,40 @@ struct SnapshotDelta {
   /// Throws DecodeError when `base` is not a well-formed encoding.
   [[nodiscard]] Bytes apply_to(BytesView base) const;
 };
+
+/// Receives the records of an encoded snapshot from walk_snapshot(), in
+/// encoding order: the header, then per section its record count and
+/// its records. A sink owns what it builds until walk_snapshot()
+/// returns; when the walk throws, the sink's contents are garbage.
+class SnapshotSink {
+ public:
+  enum class Section { kUtxos, kArchive, kKnownTxs, kInputsDeposit, kPunished };
+
+  virtual ~SnapshotSink() = default;
+  virtual void header(InstanceId upto, std::uint64_t mint_counter,
+                      chain::Amount deposit) = 0;
+  /// `count` records of `section` follow (bounded by the input size).
+  virtual void section(Section section, std::size_t count) = 0;
+  virtual void utxo(const chain::OutPoint& op, const chain::TxOut& out) = 0;
+  /// An archive value; `live` when the same outpoint is a live output
+  /// (the walker has checked that the two values agree).
+  virtual void archived(const chain::OutPoint& op, chain::Amount value,
+                        bool live) = 0;
+  virtual void known_tx(const chain::TxId& id) = 0;
+  virtual void input_deposit(const chain::OutPoint& op,
+                             chain::Amount value) = 0;
+  virtual void punished(const chain::Address& account) = 0;
+};
+
+/// The one strict snapshot decoder: checks `data` in a single pass and
+/// hands every record to `sink` (Snapshot::decode and
+/// BlockManager::restore are its two sinks). Throws DecodeError as
+/// Snapshot::decode documents.
+void walk_snapshot(BytesView data, SnapshotSink& sink);
+
+/// The watermark in an encoded snapshot's header, read without looking
+/// at the sections. Throws DecodeError on a bad or short header.
+[[nodiscard]] InstanceId snapshot_watermark(BytesView data);
 
 /// Fixed-size chunking of an encoded snapshot. Every snapshot has at
 /// least one chunk (an empty byte string still transfers one empty

@@ -182,6 +182,46 @@ TEST_F(CheckpointFixture, CorruptLatestFallsBackToPrev) {
   EXPECT_EQ(reborn.state_digest(), bm.state_digest());
 }
 
+TEST_F(CheckpointFixture, RestoreDiskSkipsAnUndecodableLatestForPrev) {
+  // A latest file whose merkle root verifies over bytes no decoder
+  // accepts (an adopted image whose servers committed to garbage): both
+  // loaders fall back to .prev, and the restore keeps nothing of it.
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  for (InstanceId k = 0; k < 10; ++k) bm.commit_block(make_block(bm, k));
+  Bytes garbage = bm.snapshot(20).encode();
+  garbage.push_back(0);
+  {
+    CheckpointManager mgr(CheckpointConfig{ckpt_, 0, 64});
+    ASSERT_TRUE(mgr.take(bm, 10));
+    ASSERT_TRUE(mgr.adopt(20, garbage));
+    mgr.drain();
+    ASSERT_EQ(mgr.watermark(), 20u);
+  }
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 0, 64});
+  bm::BlockManager reborn;
+  EXPECT_EQ(mgr.restore_disk(reborn), std::optional<InstanceId>(10));
+  EXPECT_EQ(reborn.state_digest(), bm.state_digest());
+  EXPECT_EQ(reborn.change_base(), std::optional<InstanceId>(10));
+  EXPECT_EQ(mgr.watermark(), 10u);
+  ASSERT_NE(mgr.latest(), nullptr);
+  EXPECT_EQ(mgr.latest()->bytes, bm.snapshot(10).encode());
+  CheckpointManager reference(CheckpointConfig{ckpt_, 0, 64});
+  const auto snap = reference.load_disk();
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->upto, 10u);
+
+  // Neither file intact: nothing restored or published, the ledger
+  // untouched.
+  ASSERT_EQ(std::remove((ckpt_ + ".prev").c_str()), 0);
+  CheckpointManager none(CheckpointConfig{ckpt_, 0, 64});
+  (void)reborn.utxos().mint(bob_.address(), 5);
+  const crypto::Hash32 before = reborn.state_digest();
+  EXPECT_FALSE(none.restore_disk(reborn).has_value());
+  EXPECT_EQ(reborn.state_digest(), before);
+  EXPECT_EQ(none.latest(), nullptr);
+}
+
 TEST_F(CheckpointFixture, MemoryModeNeverTouchesDiskOrJournal) {
   bm::BlockManager bm;
   bm.utxos().mint(alice_.address(), 1000);
@@ -426,6 +466,70 @@ TEST(CheckpointDelta, IncrementalImagesMatchFullExport) {
     total_restores += restores;
   }
   EXPECT_GT(total_restores, 0u);
+}
+
+TEST(CheckpointDelta, BytesRestoreMatchesTheDecodedSnapshot) {
+  // BlockManager::restore walks the image once, straight into the
+  // ledger's containers; Snapshot::decode is the reference. Over random
+  // histories, with mid-history restores through the bytes path, both
+  // must rebuild the ledger the image was taken from.
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    History history(seed);
+    bm::BlockManager bm;
+    history.seed(bm);
+    std::mt19937_64 rng(seed * 131);
+    std::optional<Bytes> saved;
+    std::size_t restores = 0;
+    for (InstanceId k = 0; k < 60; ++k) {
+      history.step(bm, k);
+      if (saved && rng() % 7 == 0) {
+        (void)bm.restore(BytesView(saved->data(), saved->size()));
+        ++restores;
+      }
+      if (k % 4 != 3) continue;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " instance " +
+                   std::to_string(k));
+      const Bytes image = bm.snapshot(k + 1).encode();
+      const BytesView view(image.data(), image.size());
+      const Snapshot decoded = Snapshot::decode(view);
+      bm::BlockManager from_bytes;
+      EXPECT_EQ(from_bytes.restore(view), k + 1);
+      bm::BlockManager from_snapshot;
+      from_snapshot.restore(decoded);
+      EXPECT_EQ(from_bytes.state_digest(), bm.state_digest());
+      EXPECT_EQ(from_snapshot.state_digest(), bm.state_digest());
+      EXPECT_EQ(from_bytes.snapshot(k + 1).encode(), image);
+
+      // Every outpoint the history created (the archive), and the
+      // deposit-funded inputs, some of which never existed.
+      std::vector<chain::OutPoint> ops;
+      for (const auto& [op, value] : decoded.ever_values) ops.push_back(op);
+      for (const auto& [op, value] : decoded.inputs_deposit) {
+        ops.push_back(op);
+      }
+      const chain::UtxoSet& got = from_bytes.utxos();
+      const chain::UtxoSet& ref = from_snapshot.utxos();
+      for (const chain::OutPoint& op : ops) {
+        EXPECT_EQ(got.get(op), ref.get(op));
+        EXPECT_EQ(got.contains(op), ref.contains(op));
+        EXPECT_EQ(got.value_of(op), ref.value_of(op));
+        EXPECT_EQ(got.value_of(op), bm.utxos().value_of(op));
+      }
+      for (const auto& [op, out] : decoded.utxos) {
+        EXPECT_EQ(got.get(op), std::optional<chain::TxOut>(out));
+      }
+      for (const auto& [op, value] : decoded.ever_values) {
+        EXPECT_EQ(got.value_of(op), std::optional<chain::Amount>(value));
+      }
+      ++compared;
+      if (rng() % 3 == 0) saved = image;
+    }
+    EXPECT_GT(bm.stats().conflicting_inputs, 0u) << "seed " << seed;
+    EXPECT_GT(bm.stats().deposit_refunded, 0) << "seed " << seed;
+    EXPECT_GT(restores, 0u) << "seed " << seed;
+  }
+  EXPECT_EQ(compared, 6u * 15u);
 }
 
 TEST(CheckpointDelta, WriterThreadBuildsTheSameImages) {

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "asmr/payload.hpp"
+#include "bm/block_manager.hpp"
 #include "chain/block.hpp"
 #include "chain/journal.hpp"
 #include "chain/tx.hpp"
@@ -16,6 +17,7 @@
 #include "consensus/messages.hpp"
 #include "consensus/pof.hpp"
 #include "sync/frames.hpp"
+#include "sync/snapshot.hpp"
 
 namespace zlb {
 namespace {
@@ -195,6 +197,56 @@ TEST(DecodeBounds, TruncatedSnapshotChunkAlwaysThrows) {
   truncation_sweep(full, [](Reader& r) {
     (void)sync::SnapshotChunk::decode(r);
   });
+}
+
+/// Both snapshot decoders (Snapshot::decode and the ledger restore)
+/// reject `data`, and the rejected restore leaves the ledger as it was.
+void expect_snapshot_rejected(const Bytes& data) {
+  const BytesView view(data.data(), data.size());
+  EXPECT_THROW((void)sync::Snapshot::decode(view), DecodeError);
+  bm::BlockManager ledger;
+  (void)ledger.utxos().mint(chain::Address{}, 1);
+  ledger.reset_changes(1);
+  const crypto::Hash32 before = ledger.state_digest();
+  EXPECT_THROW((void)ledger.restore(view), DecodeError);
+  EXPECT_EQ(ledger.state_digest(), before);
+  EXPECT_EQ(ledger.change_base(), std::optional<InstanceId>(1));
+}
+
+/// A snapshot header (magic, version, upto, mint counter, deposit).
+void snapshot_header(Writer& w) {
+  w.u32(0x5a4c4253);
+  w.u32(sync::Snapshot::kVersion);
+  w.u64(9);
+  w.u64(0);
+  w.i64(0);
+}
+
+TEST(DecodeBounds, SnapshotRejectsHugeSectionCount) {
+  // A huge count in each of the five sections, every earlier one empty.
+  for (int section = 0; section < 5; ++section) {
+    expect_snapshot_rejected(with_huge_count([section](Writer& w) {
+      snapshot_header(w);
+      for (int i = 0; i < section; ++i) w.varint(0);
+    }));
+  }
+}
+
+TEST(DecodeBounds, TruncatedSnapshotAlwaysThrows) {
+  sync::Snapshot s;
+  s.upto = 4;
+  chain::OutPoint op;
+  op.txid[0] = 1;
+  s.utxos.emplace_back(op, chain::TxOut{5, chain::Address{}});
+  s.ever_values.emplace_back(op, 5);
+  s.known_txs.push_back(crypto::Hash32{});
+  s.inputs_deposit.emplace_back(op, 3);
+  s.punished.push_back(chain::Address{});
+  const Bytes full = s.encode();
+  ASSERT_EQ(sync::Snapshot::decode(BytesView(full.data(), full.size())), s);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    expect_snapshot_rejected(Bytes(full.begin(), full.begin() + len));
+  }
 }
 
 }  // namespace

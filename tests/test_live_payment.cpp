@@ -12,6 +12,7 @@
 #include "chain/wallet.hpp"
 #include "net/client_gateway.hpp"
 #include "net/live_node.hpp"
+#include "sync/checkpoint.hpp"
 
 namespace zlb::net {
 namespace {
@@ -328,6 +329,48 @@ TEST(LivePayment, JournalRecoversCommittedStateAcrossLives) {
     t.join();
     EXPECT_EQ(reborn.balance(bob.address()), 400) << "journal not replayed";
     EXPECT_EQ(reborn.balance(alice.address()), 600);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(LivePayment, BootsFromTheNewestDecodableCheckpointImage) {
+  // The restart path: run() restores the newest on-disk image that
+  // verifies and decodes straight from its bytes, and settles every
+  // instance below its watermark. Here the latest file's merkle root
+  // verifies over bytes that do not decode, so the node must boot from
+  // <path>.prev and publish that image.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("zlb-live-ckpt-boot-" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/node0.ckpt";
+  chain::Wallet alice(to_bytes("alice"));
+  bm::BlockManager genesis;
+  for (int i = 0; i < 40; ++i) genesis.utxos().mint(alice.address(), 100 + i);
+  Bytes undecodable = genesis.snapshot(30).encode();
+  undecodable.push_back(0);
+  {
+    sync::CheckpointManager ckpt(sync::CheckpointConfig{path, 0});
+    ASSERT_TRUE(ckpt.take(genesis, 12));
+    ASSERT_TRUE(ckpt.adopt(30, undecodable));
+    ckpt.drain();
+  }
+  {
+    LiveNodeConfig cfg = payment_config();
+    cfg.me = 0;
+    cfg.committee = {0, 1, 2, 3};
+    cfg.journal_path = dir + "/node0.wal";
+    cfg.checkpoint.path = path;
+    LiveNode node(cfg);
+    std::thread t([&node] { node.run(300ms); });
+    t.join();
+    EXPECT_EQ(node.state_digest(), genesis.state_digest());
+    EXPECT_EQ(node.balance(alice.address()),
+              genesis.utxos().balance(alice.address()));
+    EXPECT_GE(node.decided_count(), 12u) << "image watermark not settled";
+    ASSERT_NE(node.checkpoints(), nullptr);
+    EXPECT_EQ(node.checkpoints()->watermark(), 12u);
   }
   std::filesystem::remove_all(dir);
 }

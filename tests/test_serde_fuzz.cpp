@@ -86,6 +86,12 @@ TEST_P(DecoderFuzz, AllDecodersRejectGarbageGracefully) {
                     data);
     expect_no_crash(
         [](BytesView d) {
+          bm::BlockManager ledger;
+          (void)ledger.restore(d);
+        },
+        data);
+    expect_no_crash(
+        [](BytesView d) {
           Reader r(d);
           (void)sync::SnapshotManifest::decode(r);
         },
@@ -282,13 +288,29 @@ TEST_P(DecoderFuzz, MutatedSnapshotNeverCrashesAndNeverLies) {
         }
         break;
     }
+    // The ledger restore decodes through the same walker: it accepts
+    // exactly what Snapshot::decode accepts, and a rejection leaves the
+    // ledger as it was.
+    const BytesView view(mutated.data(), mutated.size());
+    bool decoded = false;
     try {
-      const auto snap =
-          sync::Snapshot::decode(BytesView(mutated.data(), mutated.size()));
+      const auto snap = sync::Snapshot::decode(view);
       EXPECT_EQ(snap.encode(), mutated)
           << "accepted a non-canonical mutation";
+      decoded = true;
     } catch (const DecodeError&) {
       // expected for nearly every mutation
+    }
+    bm::BlockManager ledger;
+    ledger.utxos().mint(bob.address(), 1);
+    const crypto::Hash32 before = ledger.state_digest();
+    try {
+      const InstanceId upto = ledger.restore(view);
+      EXPECT_TRUE(decoded) << "only the ledger restore accepted it";
+      EXPECT_EQ(ledger.snapshot(upto).encode(), mutated);
+    } catch (const DecodeError&) {
+      EXPECT_FALSE(decoded) << "only Snapshot::decode accepted it";
+      EXPECT_EQ(ledger.state_digest(), before);
     }
   }
 }

@@ -1,8 +1,12 @@
 // The state-sync primitives: RFC-6962-style merkle tree (roots, audit
 // paths, adversarial proofs), the canonical snapshot codec (roundtrip,
-// canonicality enforcement, state digest semantics) and the chunking
-// helpers the transfer protocol is built on.
+// canonicality enforcement, state digest semantics, the two decoders
+// rejecting the same malformed images) and the chunking helpers the
+// transfer protocol is built on.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "bm/block_manager.hpp"
 #include "chain/wallet.hpp"
@@ -170,6 +174,28 @@ TEST(SnapshotCodec, RestoreRebuildsIdenticalLedger) {
   for (const auto& id : snap.known_txs) EXPECT_TRUE(fresh.knows_tx(id));
 }
 
+TEST(SnapshotCodec, ImageAndDigestStayPinned) {
+  // Restores and the value archive changed how a ledger holds its
+  // state, not what it exports: the image and the state digest of this
+  // fixed history are the ones the codec has always produced, and a
+  // restore from the image reproduces both.
+  const bm::BlockManager bm = populated_bm();
+  const Bytes image = bm.snapshot(3).encode();
+  constexpr const char* kImageSha256 =
+      "2b974550f50269d6d81d0a87f3092b0779f675a97cdc361d618eb987a1f22134";
+  constexpr const char* kStateDigest =
+      "f34cb3791ffd2a5e0ed4151073ce3f158042a077d6d018d0089f22351dc12654";
+  EXPECT_EQ(image.size(), 781u);
+  EXPECT_EQ(crypto::hash_hex(
+                crypto::sha256(BytesView(image.data(), image.size()))),
+            kImageSha256);
+  EXPECT_EQ(crypto::hash_hex(bm.state_digest()), kStateDigest);
+  bm::BlockManager restored;
+  (void)restored.restore(BytesView(image.data(), image.size()));
+  EXPECT_EQ(restored.snapshot(3).encode(), image);
+  EXPECT_EQ(crypto::hash_hex(restored.state_digest()), kStateDigest);
+}
+
 TEST(SnapshotCodec, StateDigestIgnoresWatermark) {
   const bm::BlockManager bm = populated_bm();
   EXPECT_EQ(bm.snapshot(1).state_digest(), bm.snapshot(99).state_digest());
@@ -200,6 +226,122 @@ TEST(SnapshotCodec, RejectsTruncationAndTrailingBytes) {
   EXPECT_THROW((void)Snapshot::decode(BytesView(padded.data(),
                                                 padded.size())),
                DecodeError);
+}
+
+/// Both decoders reject `bytes`, and the rejected restore leaves the
+/// ledger, its change log and change_base() as they were.
+void expect_both_reject(const Bytes& bytes, const std::string& what) {
+  SCOPED_TRACE(what);
+  const BytesView image(bytes.data(), bytes.size());
+  EXPECT_THROW((void)Snapshot::decode(image), DecodeError);
+  bm::BlockManager ledger = populated_bm();
+  ledger.track_changes();
+  ledger.reset_changes(4);
+  const chain::OutPoint minted = ledger.utxos().mint(chain::Address{}, 7);
+  const crypto::Hash32 digest = ledger.state_digest();
+  EXPECT_THROW((void)ledger.restore(image), DecodeError);
+  EXPECT_EQ(ledger.state_digest(), digest);
+  EXPECT_EQ(ledger.change_base(), std::optional<InstanceId>(4));
+  const SnapshotDelta delta = ledger.take_delta(5);
+  ASSERT_EQ(delta.utxos.size(), 1u) << "the change log lost the mint";
+  EXPECT_EQ(delta.utxos[0].first, minted);
+}
+
+/// `bytes` with the varint at `at` (one byte long) replaced by a count
+/// no input of this size can hold.
+Bytes with_absurd_count(Bytes bytes, std::size_t at) {
+  Writer w;
+  w.varint(0xffffffffu);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+               w.data().begin(), w.data().end());
+  return bytes;
+}
+
+TEST(SnapshotCodec, BothDecodersRejectEveryMalformedImage) {
+  const Snapshot good = populated_bm().snapshot(3);
+  ASSERT_GE(good.utxos.size(), 2u);
+  ASSERT_GE(good.known_txs.size(), 1u);
+  ASSERT_GE(good.inputs_deposit.size(), 1u);
+  ASSERT_EQ(good.punished.size(), 1u);
+  const Bytes bytes = good.encode();
+  const auto mutated = [&good](const auto& mutate) {
+    Snapshot s = good;
+    mutate(s);
+    return s.encode();
+  };
+  const auto archived = [](Snapshot& s, const chain::OutPoint& op) {
+    return std::find_if(s.ever_values.begin(), s.ever_values.end(),
+                        [&op](const auto& e) { return e.first == op; });
+  };
+
+  expect_both_reject(
+      mutated([](Snapshot& s) { std::swap(s.utxos[0], s.utxos[1]); }),
+      "unsorted utxos");
+  expect_both_reject(mutated([](Snapshot& s) {
+                       std::swap(s.ever_values[0], s.ever_values[1]);
+                     }),
+                     "unsorted archive");
+  expect_both_reject(mutated([](Snapshot& s) {
+                       s.utxos.insert(s.utxos.begin() + 1, s.utxos[0]);
+                       s.ever_values.insert(s.ever_values.begin() + 1,
+                                            s.ever_values[0]);
+                     }),
+                     "duplicate live output");
+  expect_both_reject(mutated([](Snapshot& s) {
+                       s.known_txs.push_back(s.known_txs.back());
+                     }),
+                     "duplicate known tx");
+  expect_both_reject(mutated([](Snapshot& s) {
+                       s.inputs_deposit.push_back(s.inputs_deposit.back());
+                     }),
+                     "duplicate deposit input");
+  expect_both_reject(mutated([](Snapshot& s) {
+                       s.punished.push_back(s.punished.back());
+                     }),
+                     "duplicate punished account");
+  expect_both_reject(mutated([&archived](Snapshot& s) {
+                       s.ever_values.erase(archived(s, s.utxos[1].first));
+                     }),
+                     "archive lacks a live output");
+  expect_both_reject(mutated([&archived](Snapshot& s) {
+                       archived(s, s.utxos[1].first)->second += 1;
+                     }),
+                     "archive misprices a live output");
+
+  for (std::size_t cut : {1u, 7u, 20u, 50u}) {
+    expect_both_reject(Bytes(bytes.begin(), bytes.end() - cut),
+                       "truncated by " + std::to_string(cut));
+  }
+  Bytes padded = bytes;
+  padded.push_back(0);
+  expect_both_reject(padded, "trailing byte");
+  Bytes bad_magic = bytes;
+  bad_magic[0] ^= 1;
+  expect_both_reject(bad_magic, "bad magic");
+  Bytes bad_version = bytes;
+  bad_version[4] ^= 1;
+  expect_both_reject(bad_version, "bad version");
+  // The utxo count follows the 32-byte header; the punished count is
+  // the last varint when that section is empty.
+  expect_both_reject(with_absurd_count(bytes, 32), "absurd utxo count");
+  const Bytes no_punished =
+      mutated([](Snapshot& s) { s.punished.clear(); });
+  expect_both_reject(with_absurd_count(no_punished, no_punished.size() - 1),
+                     "absurd punished count");
+}
+
+TEST(SnapshotCodec, BytesRestoreReadsTheWatermarkAndRoundtrips) {
+  const bm::BlockManager bm = populated_bm();
+  const Bytes bytes = bm.snapshot(11).encode();
+  const BytesView image(bytes.data(), bytes.size());
+  EXPECT_EQ(snapshot_watermark(image), 11u);
+  bm::BlockManager fresh;
+  EXPECT_EQ(fresh.restore(image), 11u);
+  EXPECT_EQ(fresh.change_base(), std::optional<InstanceId>(11));
+  EXPECT_EQ(fresh.snapshot(11).encode(), bytes);
+  EXPECT_EQ(fresh.state_digest(), bm.state_digest());
+  EXPECT_THROW((void)snapshot_watermark(image.first(15)), DecodeError);
 }
 
 TEST(Chunking, ViewsReassembleAndCountMatches) {

@@ -1571,7 +1571,9 @@ class Analyzer:
     OP_NORMALIZE = {"i64": "u64", "string": "bytes", "boolean": "u8",
                     "u8": "u8", "u16": "u16", "u32": "u32", "u64": "u64",
                     "varint": "varint", "raw": "raw", "bytes": "bytes",
-                    "length_prefix": "varint"}
+                    "length_prefix": "varint",
+                    # view() reads the same bytes as raw(), uncopied
+                    "view": "raw"}
 
     def extract_ops(self, fn: Func, direction: str,
                     depth: int = 0) -> list:
@@ -1705,6 +1707,18 @@ class Analyzer:
             if passes_cursor:
                 for tgt in self.resolve_call_targets(call, fn, scope):
                     if tgt.cls is None and tgt.name not in ("decode",):
+                        sub = self.extract_ops(tgt, "decode", depth + 1)
+                        return ["splice", sub]
+            # helper taking the input buffer and reading it through a
+            # Reader of its own (a record walker): splice it too
+            buffers = {p.name for p in fn.params if p.name and
+                       base_type(p.type) in ("BytesView", "Bytes")}
+            passes_buffer = any(len(a) == 1 and a[0].text in buffers
+                                for a in call.args)
+            if passes_buffer:
+                for tgt in self.resolve_call_targets(call, fn, scope):
+                    if tgt.cls is None and tgt.name not in ("decode",) \
+                            and self.reader_vars(tgt):
                         sub = self.extract_ops(tgt, "decode", depth + 1)
                         return ["splice", sub]
             return None
