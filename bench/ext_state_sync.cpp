@@ -1,15 +1,20 @@
 // State-sync microbenchmarks: what a checkpoint costs the serving
-// replica (snapshot export + canonical encode + chunk merkleization)
-// and what a transfer costs the joiner (per-chunk proof verification,
-// then the one-pass bytes restore that nodes run), as a function of
-// ledger size. A plain main() program
-// printing one JSON object per line so CI can archive the numbers and
-// future PRs get a perf trajectory.
+// replica (snapshot export + canonical encode + chunk merkleization,
+// and the periodic delta build nodes run: the previous image streamed
+// file to file through the merge with ~1% of outpoints changed) and
+// what a transfer costs the joiner (per-chunk proof verification, then
+// the one-pass bytes restore that nodes run), as a function of ledger
+// size. A plain main() program printing one JSON object per line so CI
+// can archive the numbers and future PRs get a perf trajectory.
 //
 //   ZLB_BENCH_FULL=1  larger ledger grid
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "bm/block_manager.hpp"
 #include "chain/wallet.hpp"
@@ -42,6 +47,47 @@ zlb::bm::BlockManager build_ledger(std::size_t utxo_target) {
   }
   bm.commit_block(b, /*verify_sigs=*/false);
   return bm;
+}
+
+/// Changes about 1% of `bm`'s outpoints: spends every 200th live
+/// output and mints as many new ones.
+void churn(zlb::bm::BlockManager& bm) {
+  const auto live = bm.utxos().entries();
+  const zlb::chain::Wallet carol(zlb::to_bytes("bench-carol"));
+  for (std::size_t i = 0; i < live.size(); i += 200) {
+    bm.utxos().consume(live[i].first);
+    (void)bm.utxos().mint(carol.address(), 7);
+  }
+}
+
+/// Times one delta checkpoint built from a file-backed base (the
+/// previous image, written at watermark 1) into a new file. Returns
+/// false unless the build was incremental and its image equals a full
+/// export.
+bool delta_build(zlb::bm::BlockManager& bm, double& ms) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("zlb-bench-state-sync-" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  bool ok = false;
+  {
+    zlb::sync::CheckpointManager mgr(
+        zlb::sync::CheckpointConfig{path, /*interval=*/1});
+    if (mgr.take(bm, 1)) {
+      churn(bm);
+      const auto t0 = Clock::now();
+      const bool taken = mgr.take(bm, 2);
+      ms = ms_since(t0);
+      const zlb::sync::CheckpointImage* image = mgr.latest();
+      ok = taken && mgr.stats().incremental == 1 &&
+           image->bytes.memory() == nullptr &&
+           image->bytes == bm.snapshot(2).encode();
+    }
+  }
+  for (const char* suffix : {"", ".prev", ".tmp"}) {
+    std::filesystem::remove(path + suffix);
+  }
+  return ok;
 }
 
 }  // namespace
@@ -78,7 +124,8 @@ int main() {
     std::size_t verified = 0;
     for (std::uint32_t i = 0; i < image.chunks(); ++i) {
       const auto proof = image.tree.proof(i);
-      const auto leaf = zlb::crypto::merkle_leaf(image.chunk(i));
+      const auto chunk = image.chunk(i).value();
+      const auto leaf = zlb::crypto::merkle_leaf(chunk);
       if (zlb::crypto::MerkleTree::verify(image.root(), i, image.chunks(),
                                           leaf, proof)) {
         ++verified;
@@ -88,19 +135,21 @@ int main() {
 
     t0 = Clock::now();
     zlb::bm::BlockManager joiner;
-    (void)joiner.restore(
-        zlb::BytesView(image.bytes.data(), image.bytes.size()));
+    (void)joiner.restore(*image.bytes.memory());
     const double restore_ms = ms_since(t0);
 
-    const bool ok = verified == image.chunks() &&
-                    joiner.state_digest() == bm.state_digest();
+    const bool restored = verified == image.chunks() &&
+                          joiner.state_digest() == bm.state_digest();
+    double delta_ms = 0;
+    const bool ok = delta_build(bm, delta_ms) && restored;
     std::printf(
         "{\"bench\":\"state_sync\",\"utxos\":%zu,\"image_bytes\":%zu,"
         "\"chunks\":%u,\"snapshot_ms\":%.3f,\"encode_ms\":%.3f,"
         "\"merkle_ms\":%.3f,\"verify_all_chunks_ms\":%.3f,"
-        "\"decode_restore_ms\":%.3f,\"ok\":%s}\n",
+        "\"decode_restore_ms\":%.3f,\"delta_build_ms\":%.3f,"
+        "\"ok\":%s}\n",
         n, image_bytes, image.chunks(), snapshot_ms, encode_ms, merkle_ms,
-        verify_ms, restore_ms, ok ? "true" : "false");
+        verify_ms, restore_ms, delta_ms, ok ? "true" : "false");
     if (!ok) return 1;
   }
   return 0;

@@ -492,10 +492,12 @@ void Replica::send_catchup(ReplicaId to) {
   if (!config_.synthetic) {
     const sync::CheckpointImage* ckpt =
         checkpoints_ != nullptr ? checkpoints_->latest() : nullptr;
-    const Bytes snap_bytes = ckpt != nullptr && ckpt->upto == next_index_
-                                 ? ckpt->bytes
-                                 : bm_.snapshot(next_index_).encode();
-    w.bytes(BytesView(snap_bytes.data(), snap_bytes.size()));
+    std::optional<Bytes> snap_bytes;
+    if (ckpt != nullptr && ckpt->upto == next_index_) {
+      snap_bytes = ckpt->bytes.load();  // nullopt if its file fails a read
+    }
+    if (!snap_bytes) snap_bytes = bm_.snapshot(next_index_).encode();
+    w.bytes(BytesView(snap_bytes->data(), snap_bytes->size()));
   }
   // Modelled download: blocks plus their certificates; verification is
   // quorum signatures per block (this is what makes catch-up grow

@@ -343,6 +343,9 @@ sync::SnapshotDelta BlockManager::take_delta(InstanceId upto) {
   d.inputs_deposit.assign(inputs_deposit_.begin(), inputs_deposit_.end());
   d.punished.assign(punished_.begin(), punished_.end());
   std::sort(d.punished.begin(), d.punished.end());
+  d.counts.utxos = utxos_.size();
+  d.counts.ever_values = utxos_.size() + utxos_.spent_size();
+  d.counts.known_txs = txs_.size();
   change_base_ = upto;
   return d;
 }

@@ -183,8 +183,9 @@ class BlockManager {
   /// Empties the change log, now relative to the state at `base`.
   void reset_changes(InstanceId base);
   /// Sorted current values of everything the log touched (spent
-  /// outpoints as tombstones), plus the small sections whole, labelled
-  /// `upto`; then resets the log with `upto` as its new base.
+  /// outpoints as tombstones), plus the small sections whole and the
+  /// merged section counts, labelled `upto`; then resets the log with
+  /// `upto` as its new base.
   [[nodiscard]] sync::SnapshotDelta take_delta(InstanceId upto);
 
   /// Membership spans (start_index, epoch) in the order they were

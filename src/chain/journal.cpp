@@ -107,17 +107,27 @@ void sync_parent_dir(const std::string& path) {
 bool sync_data(std::FILE* file) {
   if (std::fflush(file) != 0) return false;
 #if defined(__unix__) || defined(__APPLE__)
+  return sync_fd(::fileno(file));
+#else
+  return true;
+#endif
+}
+
+bool sync_fd(int fd) {
+#if defined(__unix__) || defined(__APPLE__)
   // A power-loss-grade guarantee needs the kernel to push the pages to
   // the device, not just our stdio buffer to the kernel. fdatasync
   // skips the inode-metadata flush fsync would add — payloads and
   // lengths are all a reader needs back.
 #if defined(__APPLE__)
-  if (::fsync(::fileno(file)) != 0) return false;
+  return ::fsync(fd) == 0;
 #else
-  if (::fdatasync(::fileno(file)) != 0) return false;
+  return ::fdatasync(fd) == 0;
 #endif
-#endif
+#else
+  (void)fd;
   return true;
+#endif
 }
 
 Journal::Journal(Journal&& o) noexcept

@@ -30,6 +30,8 @@ namespace zlb::chain {
 /// user-space buffer, then fdatasync (fsync where that is missing).
 /// False on failure.
 bool sync_data(std::FILE* file);
+/// The same barrier for a file written through its descriptor.
+bool sync_fd(int fd);
 
 /// fsyncs the directory holding `path`, making a file's creation or
 /// rename durable (data fdatasync'd into a file whose directory entry

@@ -52,6 +52,10 @@ class UtxoSet {
 
   [[nodiscard]] Amount balance(const Address& a) const;
   [[nodiscard]] std::size_t size() const { return table_.size(); }
+  /// Outputs spent so far (with size(): every output ever created).
+  [[nodiscard]] std::size_t spent_size() const {
+    return spent_values_.size();
+  }
 
   /// Outpoints owned by `a` (sorted for determinism).
   [[nodiscard]] std::vector<std::pair<OutPoint, TxOut>> owned_by(

@@ -28,6 +28,10 @@ class MerkleTree {
 
   [[nodiscard]] std::size_t leaf_count() const { return leaves_.size(); }
   [[nodiscard]] bool empty() const { return leaves_.empty(); }
+  /// Leaf `index` (< leaf_count()) as given to build().
+  [[nodiscard]] const Hash32& leaf(std::size_t index) const {
+    return leaves_.at(index);
+  }
   /// Root over all leaves. Zero hash for an empty tree.
   [[nodiscard]] const Hash32& root() const { return root_; }
 

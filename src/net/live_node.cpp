@@ -1997,16 +1997,20 @@ void LiveNode::serve_chunks(ReplicaId to, const sync::ChunkRequest& req) {
   const std::uint32_t first = std::min(req.first, n);
   const std::uint32_t end = std::min(first + std::min(req.count, budget), n);
   ps.served_in_tick += end - first;
-  chunks_served_->inc(end - first);
   for (std::uint32_t i = first; i < end; ++i) {
     sync::SnapshotChunk chunk;
     chunk.upto = img->upto;
     chunk.index = i;
-    const BytesView view = img->chunk(i);
-    chunk.data.assign(view.begin(), view.end());
+    // Read from wherever the image lives (its file, with a path); a
+    // failed read serves nothing, and the fetcher re-requests or
+    // switches source.
+    std::optional<Bytes> data = img->chunk(i);
+    if (!data) return;
+    chunk.data = std::move(*data);
     chunk.proof = img->tree.proof(i);
     const Bytes msg = sync::encode_chunk_msg(chunk);
     send_counted(to, BytesView(msg.data(), msg.size()));
+    chunks_served_->inc();
   }
 }
 

@@ -1,8 +1,14 @@
 #include "sync/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "chain/journal.hpp"
 #include "common/serde.hpp"
@@ -20,8 +26,256 @@ constexpr std::uint32_t kCheckpointVersion = 3;
 constexpr std::uint64_t kMaxImageBytes = 1u << 30;
 // Longest possible file header (v3 with a 10-byte varint length).
 constexpr std::size_t kMaxHeaderBytes = 4 + 4 + 8 + 4 + 4 + 32 + 10;
+// Where a v3 header holds the root: after magic, version, upto, epoch
+// and chunk size.
+constexpr std::size_t kRootOffset = 4 + 4 + 8 + 4 + 4;
+
+/// All of `out` from `fd` at `offset`; false on an I/O error or EOF.
+bool pread_all(int fd, std::span<std::uint8_t> out, std::uint64_t offset) {
+  while (!out.empty()) {
+    const ssize_t n =
+        ::pread(fd, out.data(), out.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    out = out.subspan(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
+/// All of `data` to `fd` at `offset`; false on an I/O error.
+bool pwrite_all(int fd, BytesView data, std::uint64_t offset) {
+  while (!data.empty()) {
+    const ssize_t n =
+        ::pwrite(fd, data.data(), data.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data = data.subspan(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
+/// A checkpoint file being written at <path>.tmp: the v3 header with
+/// the root left zero, then the image through a chunk-sized buffer
+/// whose merkle leaves are hashed as it fills. An I/O error marks the
+/// file failed and drops later writes, so a merge streaming into it
+/// still reads (and checks) its whole base. Removed unless committed.
+class TempImageFile final : public MergeSink {
+ public:
+  TempImageFile(const CheckpointConfig& config, InstanceId upto,
+                std::uint32_t epoch, std::uint64_t size)
+      : config_(config),
+        tmp_(config.path + ".tmp"),
+        upto_(upto),
+        epoch_(epoch),
+        size_(size) {
+    fd_ = ::open(tmp_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd_ < 0) return;
+    Writer w;
+    w.u32(kCheckpointMagic);
+    w.u32(kCheckpointVersion);
+    w.u64(upto);
+    w.u32(epoch);
+    w.u32(static_cast<std::uint32_t>(config.chunk_size));
+    const crypto::Hash32 root{};  // written by commit()
+    w.raw(BytesView(root.data(), root.size()));
+    w.varint(size);
+    header_ = w.data().size();
+    ok_ = config.chunk_size > 0 && size <= kMaxImageBytes &&
+          pwrite_all(fd_, w.data(), 0);
+    block_.reserve(config.chunk_size);
+  }
+  ~TempImageFile() override {
+    if (fd_ < 0) return;
+    ::close(fd_);
+    std::remove(tmp_.c_str());
+  }
+  TempImageFile(const TempImageFile&) = delete;
+  TempImageFile& operator=(const TempImageFile&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+  void write(BytesView data) override {
+    while (ok_ && !data.empty()) {
+      const std::size_t n =
+          std::min(config_.chunk_size - block_.size(), data.size());
+      block_.insert(block_.end(), data.begin(),
+                    data.begin() + static_cast<std::ptrdiff_t>(n));
+      data = data.subspan(n);
+      if (block_.size() == config_.chunk_size) flush_block();
+    }
+  }
+
+  /// The image, durable at <path> and served from this file: the root
+  /// into the header, then the data on the device, then the renames
+  /// (<path> to .prev, the temp file to <path>), then the directory
+  /// entry. nullopt when any write failed.
+  [[nodiscard]] std::optional<CheckpointImage> commit() {
+    if (!ok_) return std::nullopt;
+    // An empty image still has one (empty) chunk.
+    if (!block_.empty() || leaves_.empty()) flush_block();
+    if (!ok_ || written_ != size_) return std::nullopt;
+    CheckpointImage image;
+    image.upto = upto_;
+    image.epoch = epoch_;
+    image.chunk_size = config_.chunk_size;
+    image.tree = crypto::MerkleTree::build(std::move(leaves_));
+    const crypto::Hash32& root = image.root();
+    if (!pwrite_all(fd_, BytesView(root.data(), root.size()), kRootOffset) ||
+        !chain::sync_fd(fd_)) {
+      return std::nullopt;
+    }
+    // A failed rotate of the old file is tolerable (we lose the
+    // fallback, not the checkpoint).
+    (void)std::rename(config_.path.c_str(), (config_.path + ".prev").c_str());
+    if (std::rename(tmp_.c_str(), config_.path.c_str()) != 0) {
+      return std::nullopt;
+    }
+    chain::sync_parent_dir(config_.path);
+    image.bytes = ImageBytes::in_file(std::exchange(fd_, -1), header_,
+                                      static_cast<std::size_t>(size_));
+    return image;
+  }
+
+ private:
+  void flush_block() {
+    leaves_.push_back(crypto::merkle_leaf(block_));
+    ok_ = ok_ && pwrite_all(fd_, block_, header_ + written_);
+    written_ += block_.size();
+    block_.clear();
+  }
+
+  const CheckpointConfig& config_;
+  const std::string tmp_;
+  const InstanceId upto_;
+  const std::uint32_t epoch_;
+  const std::uint64_t size_;
+  int fd_ = -1;
+  bool ok_ = false;
+  std::size_t header_ = 0;
+  std::uint64_t written_ = 0;  ///< image bytes, past the header
+  Bytes block_;
+  std::vector<crypto::Hash32> leaves_;
+};
+
+/// A published image read front to back as the base of a delta merge:
+/// in memory, one block; from its file, one chunk per block, each
+/// checked against the image's tree, so a base altered on disk throws
+/// before anything built from it is published.
+class BaseSource final : public MergeSource {
+ public:
+  explicit BaseSource(const CheckpointImage& image) : image_(image) {}
+
+  BytesView next() override {
+    const std::uint32_t i = next_++;
+    if (const Bytes* memory = image_.bytes.memory()) {
+      return i == 0 ? BytesView(memory->data(), memory->size()) : BytesView();
+    }
+    std::optional<Bytes> chunk = image_.chunk(i);  // empty past the end
+    if (!chunk) throw DecodeError("checkpoint: base image short read");
+    if (chunk->empty()) return {};
+    if (i >= image_.tree.leaf_count() ||
+        crypto::merkle_leaf(*chunk) != image_.tree.leaf(i)) {
+      throw DecodeError("checkpoint: base chunk differs from its tree");
+    }
+    block_ = std::move(*chunk);
+    return BytesView(block_.data(), block_.size());
+  }
+
+ private:
+  const CheckpointImage& image_;
+  std::uint32_t next_ = 0;
+  Bytes block_;
+};
+
+/// The delta build: `base` streamed through `delta` into a checkpoint
+/// file, served from it once durable; in memory without a path or when
+/// the write fails. Throws when the base does not merge (unreadable,
+/// altered on disk, or not what the capture counted).
+CheckpointImage patch(const CheckpointImage& base, const SnapshotDelta& delta,
+                      InstanceId upto, std::uint32_t epoch,
+                      const CheckpointConfig& config) {
+  if (!config.path.empty()) {
+    TempImageFile file(config, upto, epoch, delta.image_size());
+    if (file.ok()) {
+      BaseSource source(base);
+      delta.merge(source, file);
+      if (auto image = file.commit()) return std::move(*image);
+    }
+  }
+  BaseSource source(base);
+  return CheckpointImage::from_bytes(upto, delta.apply_to(source),
+                                     config.chunk_size, epoch);
+}
+
+/// An image of `bytes` (a full export or an adopted image), the same
+/// way: written and served from its file, else in memory.
+CheckpointImage persist(Bytes bytes, InstanceId upto, std::uint32_t epoch,
+                        const CheckpointConfig& config) {
+  if (!config.path.empty()) {
+    TempImageFile file(config, upto, epoch, bytes.size());
+    file.write(BytesView(bytes.data(), bytes.size()));
+    if (auto image = file.commit()) return std::move(*image);
+  }
+  return CheckpointImage::from_bytes(upto, std::move(bytes), config.chunk_size,
+                                     epoch);
+}
 
 }  // namespace
+
+class ImageBytes::File {
+ public:
+  explicit File(int fd) : fd(fd) {}
+  ~File() { ::close(fd); }
+  File(const File&) = delete;
+  File& operator=(const File&) = delete;
+
+  const int fd;
+};
+
+ImageBytes ImageBytes::in_file(int fd, std::uint64_t offset,
+                               std::size_t size) {
+  ImageBytes b;
+  b.file_ = std::make_shared<const File>(fd);
+  b.offset_ = offset;
+  b.size_ = size;
+  return b;
+}
+
+bool ImageBytes::read(std::uint64_t offset,
+                      std::span<std::uint8_t> out) const {
+  if (offset > size_ || out.size() > size_ - offset) return false;
+  if (file_ == nullptr) {
+    std::copy_n(memory_.begin() + static_cast<std::ptrdiff_t>(offset),
+                out.size(), out.begin());
+    return true;
+  }
+  return pread_all(file_->fd, out, offset_ + offset);
+}
+
+std::optional<Bytes> ImageBytes::load() const {
+  if (file_ == nullptr) return memory_;
+  Bytes out(size_);
+  if (!read(0, out)) return std::nullopt;
+  return out;
+}
+
+bool operator==(const ImageBytes& a, const Bytes& b) {
+  if (a.size() != b.size()) return false;
+  if (const Bytes* memory = a.memory()) return *memory == b;
+  const std::optional<Bytes> bytes = a.load();
+  return bytes.has_value() && *bytes == b;
+}
+
+std::optional<Bytes> CheckpointImage::chunk(std::uint32_t index) const {
+  const std::uint64_t begin = static_cast<std::uint64_t>(index) * chunk_size;
+  if (begin >= bytes.size()) return Bytes{};
+  Bytes out(static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunk_size, bytes.size() - begin)));
+  if (!bytes.read(begin, out)) return std::nullopt;
+  return out;
+}
 
 CheckpointImage CheckpointImage::from_bytes(InstanceId upto, Bytes bytes,
                                             std::size_t chunk_size,
@@ -30,9 +284,9 @@ CheckpointImage CheckpointImage::from_bytes(InstanceId upto, Bytes bytes,
   img.upto = upto;
   img.epoch = epoch;
   img.chunk_size = chunk_size;
-  img.bytes = std::move(bytes);
   img.tree = crypto::MerkleTree::build(
-      chunk_leaves(BytesView(img.bytes.data(), img.bytes.size()), chunk_size));
+      chunk_leaves(BytesView(bytes.data(), bytes.size()), chunk_size));
+  img.bytes = ImageBytes(std::move(bytes));
   return img;
 }
 
@@ -199,8 +453,10 @@ void CheckpointManager::writer_loop() {
 
 void CheckpointManager::build(Job& job, bool on_writer) {
   const std::int64_t t0 = clock_ != nullptr ? clock_->nanos() : 0;
-  Bytes bytes;
-  if (auto* delta = std::get_if<SnapshotDelta>(&job.body)) {
+  const bool adopted = std::holds_alternative<Bytes>(job.body);
+  const bool incremental = std::holds_alternative<SnapshotDelta>(job.body);
+  std::optional<CheckpointImage> image;
+  if (incremental) {
     // Jobs build in capture order and every build publishes, so the
     // image this delta patches is the one published right now — unless
     // a build in between failed.
@@ -209,34 +465,29 @@ void CheckpointManager::build(Job& job, bool on_writer) {
       const MutexLock lock(mu_);
       base = published_;
     }
-    std::optional<Bytes> patched;
     if (base != nullptr && base->upto == job.base) {
       try {
-        patched =
-            delta->apply_to(BytesView(base->bytes.data(), base->bytes.size()));
+        image = patch(*base, std::get<SnapshotDelta>(job.body), job.upto,
+                      job.epoch, config_);
       } catch (const std::exception&) {
-        patched.reset();  // unpatchable: the next capture exports in full
+        image.reset();  // unpatchable: the next capture exports in full
       }
     }
-    if (!patched) {
+    if (!image) {
       const MutexLock lock(mu_);
       rebase_ = true;
       return;
     }
-    bytes = std::move(*patched);
-  } else if (auto* snap = std::get_if<Snapshot>(&job.body)) {
-    bytes = snap->encode();
   } else {
-    bytes = std::move(std::get<Bytes>(job.body));
+    Bytes bytes = adopted ? std::move(std::get<Bytes>(job.body))
+                          : std::get<Snapshot>(job.body).encode();
+    job.body = Bytes{};  // release the capture before the image is written
+    image = persist(std::move(bytes), job.upto, job.epoch, config_);
   }
-  const bool adopted = std::holds_alternative<Bytes>(job.body);
-  const bool incremental = std::holds_alternative<SnapshotDelta>(job.body);
-  job.body = Bytes{};  // release the capture before the image grows
+  const bool durable = image->bytes.memory() == nullptr;
 
-  auto image = std::make_shared<const CheckpointImage>(
-      CheckpointImage::from_bytes(job.upto, std::move(bytes),
-                                  config_.chunk_size, job.epoch));
-  const bool durable = !config_.path.empty() && write_disk(*image);
+  auto published = std::make_shared<const CheckpointImage>(std::move(*image));
+  std::shared_ptr<const CheckpointImage> replaced;
   std::optional<InstanceId> prev_disk;
   {
     // A failed write still publishes: the next delta patches this
@@ -245,10 +496,13 @@ void CheckpointManager::build(Job& job, bool on_writer) {
     prev_disk = disk_upto_;
     if (durable) disk_upto_ = job.upto;
     if (!config_.path.empty() && !durable) ++stats_.disk_failures;
-    published_ = std::move(image);
+    replaced = std::exchange(published_, std::move(published));
     ++stats_.taken;
     if (incremental) ++stats_.incremental;
   }
+  // The replaced image's last reference may close a file that a rotate
+  // already unlinked, which frees its blocks: not under mu_.
+  replaced.reset();
   if (build_seconds_ != nullptr && clock_ != nullptr) {
     build_seconds_->observe(clock_->nanos() - t0);
   }
@@ -269,55 +523,19 @@ void CheckpointManager::build(Job& job, bool on_writer) {
   }
 }
 
-bool CheckpointManager::write_disk(const CheckpointImage& image) const {
-  Writer w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  w.u64(image.upto);
-  w.u32(image.epoch);
-  w.u32(static_cast<std::uint32_t>(image.chunk_size));
-  w.raw(BytesView(image.root().data(), image.root().size()));
-  w.varint(image.bytes.size());
-  const Bytes header = w.take();
-
-  // Durability order: image data on the device, then the rename that
-  // publishes it, then the directory entry (see header).
-  const std::string tmp = config_.path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool written =
-      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
-      std::fwrite(image.bytes.data(), 1, image.bytes.size(), f) ==
-          image.bytes.size() &&
-      chain::sync_data(f);
-  written = std::fclose(f) == 0 && written;
-  if (!written) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  // Rotate: latest -> .prev, tmp -> latest. A failed rotate of the old
-  // file is tolerable (we lose the fallback, not the checkpoint).
-  (void)std::rename(config_.path.c_str(), (config_.path + ".prev").c_str());
-  if (std::rename(tmp.c_str(), config_.path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  chain::sync_parent_dir(config_.path);
-  return true;
-}
-
-std::optional<CheckpointImage> CheckpointManager::read_file(
+std::optional<CheckpointManager::DiskImage> CheckpointManager::read_file(
     const std::string& path, std::size_t chunk_size) {
   // Header first, then the image straight into its own buffer: no
   // second full-size copy, and no decode before the image verified.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  long size = -1;  // of the whole file
-  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
   std::uint8_t head[kMaxHeaderBytes];
   std::size_t got = 0;
-  if (size > 0 && std::fseek(f, 0, SEEK_SET) == 0) {
-    got = std::fread(head, 1, sizeof head, f);
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    got = std::min<std::size_t>(static_cast<std::size_t>(st.st_size),
+                                sizeof head);
+    if (!pread_all(fd, std::span<std::uint8_t>(head, got), 0)) got = 0;
   }
   std::uint32_t version = 0;
   InstanceId upto = 0;
@@ -325,7 +543,8 @@ std::optional<CheckpointImage> CheckpointManager::read_file(
   std::uint32_t crc = 0;
   std::uint32_t file_chunk = 0;
   crypto::Hash32 root{};
-  Bytes bytes;
+  std::uint64_t len = 0;
+  std::size_t header_len = 0;
   try {
     Reader r(BytesView(head, got));
     if (r.u32() != kCheckpointMagic) throw DecodeError("checkpoint: magic");
@@ -343,73 +562,77 @@ std::optional<CheckpointImage> CheckpointManager::read_file(
     } else {
       crc = r.u32();
     }
-    const std::uint64_t len = r.varint();
-    const std::size_t header_len = got - r.remaining();
+    len = r.varint();
+    header_len = got - r.remaining();
     // The image fills the rest of the file exactly.
     if (len > kMaxImageBytes ||
-        header_len + len != static_cast<std::uint64_t>(size)) {
+        header_len + len != static_cast<std::uint64_t>(st.st_size)) {
       throw DecodeError("checkpoint: length");
     }
-    bytes.resize(static_cast<std::size_t>(len));
-    if (std::fseek(f, static_cast<long>(header_len), SEEK_SET) != 0 ||
-        std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-      throw DecodeError("checkpoint: short read");
-    }
   } catch (const DecodeError&) {
-    std::fclose(f);
+    ::close(fd);
     return std::nullopt;
   }
-  std::fclose(f);
+  DiskImage disk;
+  disk.image.upto = upto;
+  disk.image.epoch = epoch;
+  disk.image.chunk_size = chunk_size;
+  disk.image.bytes =
+      ImageBytes::in_file(fd, header_len, static_cast<std::size_t>(len));
+  std::optional<Bytes> bytes = disk.image.bytes.load();
+  if (!bytes) return std::nullopt;
+  disk.bytes = std::move(*bytes);
 
-  const BytesView view(bytes.data(), bytes.size());
-  std::optional<crypto::MerkleTree> tree;
+  const BytesView view(disk.bytes.data(), disk.bytes.size());
   if (version >= 3) {
     // The tree is needed anyway; rebuilding it verifies the image.
     crypto::MerkleTree stored =
         crypto::MerkleTree::build(chunk_leaves(view, file_chunk));
     if (stored.root() != root) return std::nullopt;
-    if (file_chunk == chunk_size) tree = std::move(stored);
+    if (file_chunk == chunk_size) {
+      disk.image.tree = std::move(stored);
+      return disk;
+    }
   } else if (chain::crc32(view) != crc) {
     return std::nullopt;
   }
-  if (!tree) {
-    return CheckpointImage::from_bytes(upto, std::move(bytes), chunk_size,
-                                       epoch);
-  }
-  CheckpointImage image;
-  image.upto = upto;
-  image.epoch = epoch;
-  image.chunk_size = chunk_size;
-  image.bytes = std::move(bytes);
-  image.tree = std::move(*tree);
-  return image;
+  disk.image.tree = crypto::MerkleTree::build(chunk_leaves(view, chunk_size));
+  return disk;
 }
 
 std::optional<InstanceId> CheckpointManager::load_verified(
     const std::function<void(BytesView)>& install) {
   if (config_.path.empty()) return std::nullopt;
-  std::optional<CheckpointImage> image;
+  std::optional<DiskImage> disk;
   bool latest_intact = false;
   for (const std::string& path : {config_.path, config_.path + ".prev"}) {
-    image = read_file(path, config_.chunk_size);
-    if (!image) continue;
+    disk = read_file(path, config_.chunk_size);
+    if (!disk) continue;
     try {
-      install(BytesView(image->bytes.data(), image->bytes.size()));
+      install(BytesView(disk->bytes.data(), disk->bytes.size()));
     } catch (const DecodeError&) {
-      image.reset();
+      disk.reset();
       continue;
     }
     latest_intact = path == config_.path;
     break;
   }
-  if (!image) return std::nullopt;
-  const InstanceId upto = image->upto;
-  const MutexLock lock(mu_);
-  // A damaged <path> rotates into .prev on the next write, so nothing
-  // may be compacted against it.
-  disk_upto_ = latest_intact ? std::optional<InstanceId>(upto) : std::nullopt;
-  published_ = std::make_shared<const CheckpointImage>(std::move(*image));
-  tail_ = upto;
+  if (!disk) return std::nullopt;
+  const InstanceId upto = disk->image.upto;
+  // Installed: from here on the image is served from its file, and the
+  // buffer the restore read goes.
+  auto image = std::make_shared<const CheckpointImage>(std::move(disk->image));
+  disk.reset();
+  std::shared_ptr<const CheckpointImage> replaced;
+  {
+    const MutexLock lock(mu_);
+    // A damaged <path> rotates into .prev on the next write, so nothing
+    // may be compacted against it.
+    disk_upto_ =
+        latest_intact ? std::optional<InstanceId>(upto) : std::nullopt;
+    replaced = std::exchange(published_, std::move(image));
+    tail_ = upto;
+  }
   return upto;
 }
 

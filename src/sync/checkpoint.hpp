@@ -7,12 +7,20 @@
 // lock at the exact watermark and costs O(churn): with change tracking
 // on, BlockManager::take_delta() hands over the sorted changes since
 // the previous image (a manager with no previous image takes one full
-// export instead). The BUILD merges the delta into the previous image's
-// bytes in one pass, hashes the chunks, persists the image, publishes
-// it and compacts the journal. Builds run in FIFO order: on the
-// manager's own writer thread after start_writer(), else on the thread
-// that calls drain() or take() (the simulator, tools and tests) — the
-// same bytes either way. capture() itself never builds or does I/O.
+// export instead). The BUILD streams the previous image through one
+// linear merge with the delta — into <path>.tmp when a path is set,
+// checking each base chunk against the base's tree as it reads it and
+// hashing each output chunk as it writes it — persists the image,
+// publishes it and compacts the journal. Builds run in FIFO order: on
+// the manager's own writer thread after start_writer(), else on the
+// thread that calls drain() or take() (the simulator, tools and tests)
+// — the same bytes either way. capture() itself never builds or does
+// I/O.
+//
+// An image's bytes live in one place (ImageBytes): its file once the
+// durable write succeeded or a restore verified it, memory otherwise
+// (no path, or a failed write). So a node with a path holds no
+// image-sized buffer once set-up ends.
 //
 // Durability layout (when `path` is set):
 //   <path>       latest checkpoint: temp file, fdatasync, rename,
@@ -30,14 +38,16 @@
 //
 // Threads & locks: mu_ guards the published image, the build queue and
 // the stats. It is a leaf, held only around queue and pointer updates —
-// never across a build, file I/O or the compaction callback. capture()
-// runs under the caller's ledger lock, so ledger lock > mu_.
+// never across a build, file I/O or the compaction callback (a replaced
+// image is released after mu_: its last reference may close a file).
+// capture() runs under the caller's ledger lock, so ledger lock > mu_.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <variant>
@@ -62,6 +72,47 @@ struct CheckpointConfig {
   std::size_t chunk_size = 64 * 1024;
 };
 
+/// An image's bytes, held in exactly one place: memory, or the
+/// checkpoint file they were written to or verified from. A file-backed
+/// image keeps its descriptor open, so its bytes stay readable after
+/// later checkpoints rotate the file to .prev and unlink it; the last
+/// copy closes it. Reads are positional (pread), so threads reading one
+/// image share no file offset and need no lock. Not mmap: a page fault
+/// would be blocking I/O no analyzer sees, a file truncated underneath
+/// raises SIGBUS, and every page touched would count as resident.
+class ImageBytes {
+ public:
+  ImageBytes() = default;
+  explicit ImageBytes(Bytes bytes)
+      : memory_(std::move(bytes)), size_(memory_.size()) {}
+  /// `size` bytes at `offset` of the open file `fd`, which it takes
+  /// over (and closes with its last copy).
+  [[nodiscard]] static ImageBytes in_file(int fd, std::uint64_t offset,
+                                          std::size_t size);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// The bytes when they are in memory, else null.
+  [[nodiscard]] const Bytes* memory() const {
+    return file_ == nullptr ? &memory_ : nullptr;
+  }
+  /// Copies the `out.size()` bytes at `offset` into `out`. False on a
+  /// short read, an I/O error or a range past the end.
+  [[nodiscard]] bool read(std::uint64_t offset,
+                          std::span<std::uint8_t> out) const;
+  /// A copy of all the bytes; nullopt on a short read or an I/O error.
+  [[nodiscard]] std::optional<Bytes> load() const;
+
+  friend bool operator==(const ImageBytes& a, const Bytes& b);
+
+ private:
+  class File;
+
+  Bytes memory_;
+  std::shared_ptr<const File> file_;
+  std::uint64_t offset_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// A materialized checkpoint: canonical snapshot bytes plus the chunk
 /// merkle tree a joiner verifies transfers against. `epoch` records the
 /// membership generation the watermark was decided under, so a served
@@ -71,18 +122,18 @@ struct CheckpointImage {
   InstanceId upto = 0;
   std::uint32_t epoch = 0;
   std::size_t chunk_size = 0;
-  Bytes bytes;
+  ImageBytes bytes;
   crypto::MerkleTree tree;
 
   [[nodiscard]] std::uint32_t chunks() const {
     return chunk_count(bytes.size(), chunk_size);
   }
-  [[nodiscard]] BytesView chunk(std::uint32_t index) const {
-    return chunk_view(BytesView(bytes.data(), bytes.size()), index,
-                      chunk_size);
-  }
+  /// A copy of chunk `index`, read from wherever the bytes live; nullopt
+  /// on a short read or an I/O error.
+  [[nodiscard]] std::optional<Bytes> chunk(std::uint32_t index) const;
   [[nodiscard]] const crypto::Hash32& root() const { return tree.root(); }
 
+  /// An in-memory image of `bytes`.
   [[nodiscard]] static CheckpointImage from_bytes(InstanceId upto,
                                                   Bytes bytes,
                                                   std::size_t chunk_size,
@@ -159,8 +210,9 @@ class CheckpointManager {
   void drain() EXCLUDES(mu_);
 
   /// Startup: loads and verifies the on-disk image (falling back to
-  /// <path>.prev when the latest is damaged), publishes it and returns
-  /// the decoded snapshot for BlockManager::restore().
+  /// <path>.prev when the latest is damaged), publishes it served from
+  /// that file and returns the decoded snapshot for
+  /// BlockManager::restore().
   [[nodiscard]] std::optional<Snapshot> load_disk() EXCLUDES(mu_);
   /// Startup with no Snapshot in between: restores the verified image
   /// bytes straight into `ledger` (BlockManager::restore(BytesView)),
@@ -197,18 +249,23 @@ class CheckpointManager {
     bm::BlockManager* ledger = nullptr;
   };
 
+  /// A checkpoint file whose image verified.
+  struct DiskImage {
+    CheckpointImage image;  ///< served from the open file
+    Bytes bytes;            ///< the same image, read for the restore
+  };
+
   void enqueue(Job job) EXCLUDES(mu_);
   /// Build, persist, publish, compact.
   void build(Job& job, bool on_writer) EXCLUDES(mu_);
   void writer_loop() EXCLUDES(mu_);
-  [[nodiscard]] bool write_disk(const CheckpointImage& image) const;
   /// The image of the first file (<path>, then <path>.prev) that
   /// verifies and that `install` accepts (DecodeError rejects it),
-  /// published; its watermark.
+  /// published backed by that file; its watermark.
   [[nodiscard]] std::optional<InstanceId> load_verified(
       const std::function<void(BytesView)>& install) EXCLUDES(mu_);
   /// A file's image once its merkle root (CRC before v3) verified.
-  [[nodiscard]] static std::optional<CheckpointImage> read_file(
+  [[nodiscard]] static std::optional<DiskImage> read_file(
       const std::string& path, std::size_t chunk_size);
 
   const CheckpointConfig config_;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/serde.hpp"
 
@@ -19,10 +20,10 @@ void put_outpoint(Writer& w, const chain::OutPoint& op) {
   w.u32(op.index);
 }
 
-// SnapshotDelta::apply_to writes the layout Snapshot::encode defines,
-// but into a buffer sized up front (the tests hold the two to byte
-// equality): a header (magic, version, upto, mint_counter, deposit),
-// then five sections, each a varint count of fixed-size records.
+// SnapshotDelta::merge writes the layout Snapshot::encode defines (the
+// tests hold the two to byte equality) record by record: a header
+// (magic, version, upto, mint_counter, deposit), then five sections,
+// each a varint count of fixed-size records.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kOutPointBytes = 32 + 4;
 constexpr std::size_t kUtxoBytes = kOutPointBytes + 8 + 20;
@@ -76,7 +77,7 @@ std::uint8_t* put_txout(std::uint8_t* p, const chain::TxOut& out) {
 }
 
 // One record per section entry. A delta's spent outpoint (nullopt) is
-// never written — merge_section drops it instead.
+// never written — put_live() drops it instead.
 std::uint8_t* put_entry(
     std::uint8_t* p,
     const std::pair<chain::OutPoint, std::optional<chain::TxOut>>& e) {
@@ -121,81 +122,146 @@ int compare_record(const std::uint8_t* rec, const chain::TxId& id) {
   return std::memcmp(rec, id.data(), id.size());
 }
 
-/// One sorted section of an encoded base snapshot.
-struct Section {
-  const std::uint8_t* data = nullptr;
-  std::size_t count = 0;
+/// The base image of a merge, consumed record by record across the
+/// source's blocks; a record split between two blocks is gathered in a
+/// small carry buffer.
+class BaseReader {
+ public:
+  explicit BaseReader(MergeSource& source) : source_(source) {}
+
+  /// The next `n` bytes, valid until the next call.
+  const std::uint8_t* take(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - pos_) >= n) {
+      const std::uint8_t* p = pos_;
+      pos_ += n;
+      return p;
+    }
+    carry_.clear();
+    while (carry_.size() < n) {
+      if (pos_ == end_) refill();
+      const std::size_t k =
+          std::min(n - carry_.size(), static_cast<std::size_t>(end_ - pos_));
+      carry_.insert(carry_.end(), pos_, pos_ + k);
+      pos_ += k;
+    }
+    return carry_.data();
+  }
+
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t b = *take(1);
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+    throw DecodeError("snapshot delta: base varint overflow");
+  }
+
+  /// The base ends exactly here.
+  void expect_end() {
+    if (pos_ != end_ || !source_.next().empty()) {
+      throw DecodeError("snapshot delta: trailing base bytes");
+    }
+  }
+
+ private:
+  void refill() {
+    const BytesView block = source_.next();
+    if (block.empty()) throw DecodeError("snapshot delta: base truncated");
+    pos_ = block.data();
+    end_ = pos_ + block.size();
+  }
+
+  MergeSource& source_;
+  const std::uint8_t* pos_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  Bytes carry_;
 };
 
-/// Where each delta entry lands in a base section: its lower-bound
-/// record index and whether that record has the same key (and is thus
-/// replaced or deleted), plus the merged record count.
-struct MergePlan {
-  std::vector<std::size_t> pos;
-  std::vector<std::uint8_t> hit;
-  std::size_t count = 0;
-};
+void put_count(MergeSink& out, std::uint64_t n) {
+  std::uint8_t v[10];
+  out.write(BytesView(v, static_cast<std::size_t>(put_varint(v, n) - v)));
+}
+
+/// A delta entry as its record (a tombstone writes nothing); whether it
+/// wrote one.
+template <typename Entry>
+bool put_live(MergeSink& out, const Entry& e) {
+  if (!is_live(e)) return false;
+  std::uint8_t rec[kUtxoBytes];
+  out.write(BytesView(rec, static_cast<std::size_t>(put_entry(rec, e) - rec)));
+  return true;
+}
 
 template <typename Entries>
-MergePlan plan_merge(Section base, std::size_t rec, const Entries& delta) {
-  MergePlan plan;
-  plan.pos.reserve(delta.size());
-  plan.hit.reserve(delta.size());
-  plan.count = base.count;
-  std::size_t lo = 0;
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    const auto& key = key_of(delta[i]);
-    if (i > 0 && !(key_of(delta[i - 1]) < key)) {
+void check_sorted(const Entries& delta) {
+  for (std::size_t i = 1; i < delta.size(); ++i) {
+    if (!(key_of(delta[i - 1]) < key_of(delta[i]))) {
       throw std::invalid_argument("snapshot delta: section not sorted");
     }
-    // Delta keys ascend, so each search starts where the last ended.
-    std::size_t hi = base.count;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (compare_record(base.data + mid * rec, key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+  }
+}
+
+/// One patched section: the base's records with the delta merged in (a
+/// same-key entry replaces its record, a tombstone drops it), written
+/// under the count the capture recorded, which the merge must meet.
+template <typename Entries>
+void merge_section(BaseReader& in, MergeSink& out, std::size_t rec,
+                   const Entries& delta, std::size_t count) {
+  const std::uint64_t base_count = in.varint();
+  put_count(out, count);
+  std::size_t written = 0;
+  std::size_t i = 0;
+  for (std::uint64_t j = 0; j < base_count; ++j) {
+    const std::uint8_t* r = in.take(rec);
+    while (i < delta.size() && compare_record(r, key_of(delta[i])) > 0) {
+      written += put_live(out, delta[i++]) ? 1 : 0;
     }
-    const bool hit =
-        lo < base.count && compare_record(base.data + lo * rec, key) == 0;
-    plan.pos.push_back(lo);
-    plan.hit.push_back(hit ? 1 : 0);
-    if (is_live(delta[i]) && !hit) ++plan.count;
-    if (!is_live(delta[i]) && hit) --plan.count;
+    if (i < delta.size() && compare_record(r, key_of(delta[i])) == 0) {
+      written += put_live(out, delta[i++]) ? 1 : 0;
+      continue;
+    }
+    out.write(BytesView(r, rec));
+    ++written;
   }
-  return plan;
+  for (; i < delta.size(); ++i) written += put_live(out, delta[i]) ? 1 : 0;
+  if (written != count) {
+    throw DecodeError("snapshot delta: merged count differs from capture");
+  }
 }
 
-/// Base records [from, to) in one copy.
-std::uint8_t* copy_records(std::uint8_t* out, Section base, std::size_t rec,
-                           std::size_t from, std::size_t to) {
-  if (from == to) return out;
-  return put_raw(out, base.data + from * rec, (to - from) * rec);
-}
-
-/// Copies the base records between delta positions in whole runs and
-/// writes the delta's live entries in between.
-template <typename Entries>
-std::uint8_t* merge_section(std::uint8_t* out, Section base, std::size_t rec,
-                            const Entries& delta, const MergePlan& plan) {
-  out = put_varint(out, plan.count);
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    out = copy_records(out, base, rec, next, plan.pos[i]);
-    next = plan.pos[i] + plan.hit[i];
-    if (is_live(delta[i])) out = put_entry(out, delta[i]);
-  }
-  return copy_records(out, base, rec, next, base.count);
+/// A small section the delta carries whole: the base's copy is only
+/// read past.
+void skip_section(BaseReader& in, std::size_t rec) {
+  const std::uint64_t n = in.varint();
+  for (std::uint64_t j = 0; j < n; ++j) (void)in.take(rec);
 }
 
 template <typename Entries>
-std::uint8_t* put_section(std::uint8_t* out, const Entries& entries) {
-  out = put_varint(out, entries.size());
-  for (const auto& e : entries) out = put_entry(out, e);
-  return out;
+void put_section(MergeSink& out, const Entries& entries) {
+  put_count(out, entries.size());
+  for (const auto& e : entries) (void)put_live(out, e);
 }
+
+/// A base held in memory: one block.
+class ViewSource final : public MergeSource {
+ public:
+  explicit ViewSource(BytesView bytes) : bytes_(bytes) {}
+  BytesView next() override { return std::exchange(bytes_, BytesView()); }
+
+ private:
+  BytesView bytes_;
+};
+
+class BytesSink final : public MergeSink {
+ public:
+  explicit BytesSink(std::size_t size) { bytes.reserve(size); }
+  void write(BytesView data) override {
+    bytes.insert(bytes.end(), data.begin(), data.end());
+  }
+
+  Bytes bytes;
+};
 
 std::size_t section_bytes(std::size_t count, std::size_t rec) {
   return varint_size(count) + count * rec;
@@ -366,43 +432,46 @@ Bytes Snapshot::encode() const {
   return w.take();
 }
 
-Bytes SnapshotDelta::apply_to(BytesView base) const {
-  // Locate the three sections a delta patches; the two small ones are
-  // replaced whole, so the base's copies are only skipped over.
-  Section base_utxos, base_ever, base_txs;
-  if (!base.empty()) {
-    Reader r(base);
-    (void)get_header(r);
-    const auto section = [&r](std::size_t rec) {
-      Section sec;
-      sec.count = static_cast<std::size_t>(
-          r.length_prefix(rec, std::uint64_t{1} << 32));
-      sec.data = r.view(sec.count * rec).data();
-      return sec;
-    };
-    base_utxos = section(kUtxoBytes);
-    base_ever = section(kValueBytes);
-    base_txs = section(kTxIdBytes);
-    (void)section(kValueBytes);
-    (void)section(kAddressBytes);
-    r.expect_done();
-  }
-  const MergePlan utxo_plan = plan_merge(base_utxos, kUtxoBytes, utxos);
-  const MergePlan ever_plan = plan_merge(base_ever, kValueBytes, ever_values);
-  const MergePlan tx_plan = plan_merge(base_txs, kTxIdBytes, known_txs);
+std::uint64_t SnapshotDelta::image_size() const {
+  return kHeaderBytes + section_bytes(counts.utxos, kUtxoBytes) +
+         section_bytes(counts.ever_values, kValueBytes) +
+         section_bytes(counts.known_txs, kTxIdBytes) +
+         section_bytes(inputs_deposit.size(), kValueBytes) +
+         section_bytes(punished.size(), kAddressBytes);
+}
 
-  Bytes out(kHeaderBytes + section_bytes(utxo_plan.count, kUtxoBytes) +
-            section_bytes(ever_plan.count, kValueBytes) +
-            section_bytes(tx_plan.count, kTxIdBytes) +
-            section_bytes(inputs_deposit.size(), kValueBytes) +
-            section_bytes(punished.size(), kAddressBytes));
-  std::uint8_t* p = put_header(out.data(), upto, mint_counter, deposit);
-  p = merge_section(p, base_utxos, kUtxoBytes, utxos, utxo_plan);
-  p = merge_section(p, base_ever, kValueBytes, ever_values, ever_plan);
-  p = merge_section(p, base_txs, kTxIdBytes, known_txs, tx_plan);
-  p = put_section(p, inputs_deposit);
-  (void)put_section(p, punished);
-  return out;
+void SnapshotDelta::merge(MergeSource& base, MergeSink& out) const {
+  check_sorted(utxos);
+  check_sorted(ever_values);
+  check_sorted(known_txs);
+  BaseReader in(base);
+  {
+    Reader r(BytesView(in.take(kHeaderBytes), kHeaderBytes));
+    (void)get_header(r);
+  }
+  std::uint8_t header[kHeaderBytes];
+  (void)put_header(header, upto, mint_counter, deposit);
+  out.write(BytesView(header, kHeaderBytes));
+  merge_section(in, out, kUtxoBytes, utxos, counts.utxos);
+  merge_section(in, out, kValueBytes, ever_values, counts.ever_values);
+  merge_section(in, out, kTxIdBytes, known_txs, counts.known_txs);
+  // The two small sections travel whole.
+  skip_section(in, kValueBytes);
+  skip_section(in, kAddressBytes);
+  in.expect_end();
+  put_section(out, inputs_deposit);
+  put_section(out, punished);
+}
+
+Bytes SnapshotDelta::apply_to(MergeSource& base) const {
+  BytesSink sink(static_cast<std::size_t>(image_size()));
+  merge(base, sink);
+  return std::move(sink.bytes);
+}
+
+Bytes SnapshotDelta::apply_to(BytesView base) const {
+  ViewSource source(base);
+  return apply_to(source);
 }
 
 void walk_snapshot(BytesView data, SnapshotSink& sink) {

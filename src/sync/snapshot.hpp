@@ -63,6 +63,23 @@ struct Snapshot {
   }
 };
 
+/// The base image of a streaming delta merge, read front to back.
+class MergeSource {
+ public:
+  virtual ~MergeSource() = default;
+  /// The next block of the image, valid until the next call; empty once
+  /// the image is exhausted. Throws DecodeError when a block cannot be
+  /// read or fails the source's own check.
+  virtual BytesView next() = 0;
+};
+
+/// Where a streaming delta merge writes the merged image, in order.
+class MergeSink {
+ public:
+  virtual ~MergeSink() = default;
+  virtual void write(BytesView data) = 0;
+};
+
 /// The ledger change between two checkpoints, valued at the later one:
 /// what BlockManager captures (in O(churn), under its ledger lock) so
 /// the O(ledger) encode can run elsewhere. Every section is sorted and
@@ -81,11 +98,27 @@ struct SnapshotDelta {
   std::vector<std::pair<chain::OutPoint, chain::Amount>> inputs_deposit;
   std::vector<chain::Address> punished;
 
-  /// Canonical encoding of `base` (an encoded Snapshot; empty = the
-  /// empty ledger) with this delta applied: one merge pass into a
-  /// buffer allocated at its exact final size, byte-identical to
-  /// Snapshot::encode() of the state the delta was captured from.
-  /// Throws DecodeError when `base` is not a well-formed encoding.
+  /// Record counts of the three patched sections once merged: the
+  /// ledger's container sizes at the capture. They fix every section
+  /// count, and the image length, before the merge reads the base.
+  struct Counts {
+    std::size_t utxos = 0;
+    std::size_t ever_values = 0;
+    std::size_t known_txs = 0;
+  };
+  Counts counts;
+
+  /// Length of the merged image.
+  [[nodiscard]] std::uint64_t image_size() const;
+  /// Streams `base` (an encoded Snapshot) through this delta into
+  /// `out`: one linear merge per section, with the sorted delta, into
+  /// the bytes Snapshot::encode() gives for the state the delta was
+  /// captured from. Throws DecodeError when `base` is not a well-formed
+  /// encoding, when the source throws, or when a merged section's
+  /// count differs from `counts` (`out` then holds garbage).
+  void merge(MergeSource& base, MergeSink& out) const;
+  /// merge() into memory.
+  [[nodiscard]] Bytes apply_to(MergeSource& base) const;
   [[nodiscard]] Bytes apply_to(BytesView base) const;
 };
 

@@ -19,6 +19,46 @@
 namespace zlb::sync {
 namespace {
 
+/// Flips one bit of the byte in the middle of `path`, in place (so an
+/// open descriptor of the file sees it too).
+void flip_middle_byte(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fseek(f, size / 2, SEEK_SET);
+  const int c = std::fgetc(f);
+  std::fseek(f, size / 2, SEEK_SET);
+  std::fputc(c ^ 0x20, f);
+  std::fclose(f);
+}
+
+/// A checkpoint path in the temp directory, with its .prev and .tmp
+/// siblings removed before and after use.
+class ScratchPath {
+ public:
+  explicit ScratchPath(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               ("zlb-ckpt-" + std::to_string(::getpid()) + "-" + name))
+                  .string()) {
+    clear();
+  }
+  ~ScratchPath() { clear(); }
+  ScratchPath(const ScratchPath&) = delete;
+  ScratchPath& operator=(const ScratchPath&) = delete;
+
+  [[nodiscard]] const std::string& str() const { return path_; }
+
+ private:
+  void clear() {
+    for (const auto& p : {path_, path_ + ".prev", path_ + ".tmp"}) {
+      std::filesystem::remove_all(p);
+    }
+  }
+
+  std::string path_;
+};
+
 class CheckpointFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -158,17 +198,7 @@ TEST_F(CheckpointFixture, CorruptLatestFallsBackToPrev) {
   }
   ASSERT_EQ(mgr.watermark(), 10u);
   // Flip a byte inside the latest image's payload.
-  {
-    std::FILE* f = std::fopen(ckpt_.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, size / 2, SEEK_SET);
-    const int c = std::fgetc(f);
-    std::fseek(f, size / 2, SEEK_SET);
-    std::fputc(c ^ 0x20, f);
-    std::fclose(f);
-  }
+  flip_middle_byte(ckpt_);
   bm::BlockManager reborn;
   CheckpointManager mgr2(CheckpointConfig{ckpt_, 5, 64});
   const auto snap = mgr2.load_disk();
@@ -420,52 +450,125 @@ class History {
   std::optional<chain::Transaction> pending_parent_;
 };
 
-TEST(CheckpointDelta, IncrementalImagesMatchFullExport) {
-  std::size_t total_restores = 0;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    History history(seed);
-    bm::BlockManager bm;
-    history.seed(bm);
-    CheckpointManager mgr(CheckpointConfig{"", 3, 256});
-    std::mt19937_64 rng(seed * 977);
-    std::optional<Snapshot> saved;
-    std::size_t checked = 0;
-    std::size_t restores = 0;
-    for (InstanceId k = 0; k < 60; ++k) {
-      history.step(bm, k);
-      if (rng() % 17 == 0 && saved.has_value()) {
-        ++restores;
-        // Restore mid-history: an older state, relabelled at the
-        // current floor. Adopted, it is the base the next delta
-        // patches; restored but NOT adopted, the next capture must
-        // notice the log no longer matches and export in full.
-        Snapshot s = *saved;
-        s.upto = k + 1;
-        bm.restore(s);
-        if (rng() % 2 == 0) {
-          ASSERT_TRUE(mgr.adopt(s.upto, s.encode()));
-        }
-      }
-      if (mgr.on_decided(bm, k + 1)) {
-        // The grid snaps the label (an off-grid adopt shifts it); the
-        // image holds the state as of now either way.
-        const InstanceId wm = mgr.watermark();
-        ASSERT_NE(mgr.latest(), nullptr);
-        ASSERT_EQ(mgr.latest()->bytes, bm.snapshot(wm).encode())
-            << "seed " << seed << " watermark " << wm;
-        ++checked;
-        if (rng() % 3 == 0) saved = bm.snapshot(wm);
+/// Counts of what one randomized incremental history exercised.
+struct HistoryRun {
+  std::size_t restores = 0;
+  std::size_t file_images = 0;  ///< images published from their file
+  std::size_t restarts = 0;     ///< managers replaced by a disk restore
+  std::size_t prev_restarts = 0;  ///< of those, from <path>.prev
+  std::size_t failed_writes = 0;
+};
+
+/// The incremental-image property over one random history: every
+/// published image equals a full export of the state it was captured
+/// from. With a `path`, images are merged file to file, and the history
+/// also restarts the manager from disk (sometimes from .prev, with the
+/// latest file damaged) and fails writes (a directory squatting on
+/// <path>.tmp), so merges also run from a .prev-backed base and from
+/// the memory base a failed write leaves.
+HistoryRun incremental_history(std::uint64_t seed, const std::string& path) {
+  HistoryRun run;
+  History history(seed);
+  bm::BlockManager bm;
+  history.seed(bm);
+  const CheckpointConfig config{path, 3, 256};
+  auto mgr = std::make_unique<CheckpointManager>(config);
+  std::mt19937_64 rng(seed * 977);
+  std::optional<Snapshot> saved;
+  std::size_t checked = 0;
+  std::size_t incremental = 0;
+  std::size_t durable = 0;
+  for (InstanceId k = 0; k < 60; ++k) {
+    history.step(bm, k);
+    if (rng() % 17 == 0 && saved.has_value()) {
+      ++run.restores;
+      // Restore mid-history: an older state, relabelled at the
+      // current floor. Adopted, it is the base the next delta
+      // patches; restored but NOT adopted, the next capture must
+      // notice the log no longer matches and export in full.
+      Snapshot s = *saved;
+      s.upto = k + 1;
+      bm.restore(s);
+      if (rng() % 2 == 0) {
+        EXPECT_TRUE(mgr->adopt(s.upto, s.encode()));
       }
     }
-    EXPECT_GE(checked, 15u);
-    EXPECT_GT(mgr.stats().incremental, checked / 2)
-        << "the delta path must carry most captures";
-    // The history reached every kind of change it is meant to cover.
-    EXPECT_GT(bm.stats().conflicting_inputs, 0u) << "seed " << seed;
-    EXPECT_GT(bm.stats().deposit_refunded, 0) << "seed " << seed;
-    total_restores += restores;
+    if (!path.empty() && durable >= 2 && rng() % 13 == 0) {
+      // Restart from disk; a damaged latest file falls back to .prev.
+      const bool damage = rng() % 2 == 0;
+      if (damage) flip_middle_byte(path);
+      incremental += mgr->stats().incremental;
+      mgr = std::make_unique<CheckpointManager>(config);
+      const auto upto = mgr->restore_disk(bm);
+      EXPECT_TRUE(upto.has_value()) << "seed " << seed;
+      if (!upto) return run;
+      EXPECT_EQ(mgr->latest()->bytes.memory(), nullptr);
+      EXPECT_EQ(mgr->latest()->bytes, bm.snapshot(*upto).encode());
+      ++run.restarts;
+      if (damage) ++run.prev_restarts;
+      durable = 0;  // the damaged file rotates to .prev on the next write
+    }
+    const bool fail_write = !path.empty() && rng() % 9 == 0;
+    if (fail_write) std::filesystem::create_directory(path + ".tmp");
+    const std::uint64_t failures = mgr->stats().disk_failures;
+    if (mgr->on_decided(bm, k + 1)) {
+      // The grid snaps the label (an off-grid adopt shifts it); the
+      // image holds the state as of now either way.
+      const InstanceId wm = mgr->watermark();
+      const CheckpointImage* image = mgr->latest();
+      EXPECT_NE(image, nullptr);
+      if (image == nullptr) return run;
+      EXPECT_EQ(image->bytes, bm.snapshot(wm).encode())
+          << "seed " << seed << " watermark " << wm;
+      EXPECT_EQ(image->root(),
+                CheckpointImage::from_bytes(wm, bm.snapshot(wm).encode(),
+                                            config.chunk_size)
+                    .root());
+      // On disk exactly when the write succeeded.
+      const bool in_file = image->bytes.memory() == nullptr;
+      EXPECT_EQ(in_file, !path.empty() && !fail_write);
+      run.file_images += in_file ? 1 : 0;
+      durable += in_file ? 1 : 0;
+      ++checked;
+      if (rng() % 3 == 0) saved = bm.snapshot(wm);
+    }
+    if (fail_write) {
+      // A write only fails when a build ran (a capture that was due).
+      run.failed_writes += mgr->stats().disk_failures - failures;
+      std::filesystem::remove(path + ".tmp");
+    }
   }
-  EXPECT_GT(total_restores, 0u);
+  incremental += mgr->stats().incremental;
+  EXPECT_GE(checked, 15u) << "seed " << seed;
+  EXPECT_GT(incremental, checked / 2)
+      << "the delta path must carry most captures (seed " << seed << ")";
+  // The history reached every kind of change it is meant to cover.
+  EXPECT_GT(bm.stats().conflicting_inputs, 0u) << "seed " << seed;
+  EXPECT_GT(bm.stats().deposit_refunded, 0) << "seed " << seed;
+  return run;
+}
+
+TEST(CheckpointDelta, IncrementalImagesMatchFullExport) {
+  HistoryRun memory;
+  HistoryRun disk;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const HistoryRun m = incremental_history(seed, "");
+    memory.restores += m.restores;
+    EXPECT_EQ(m.file_images, 0u);
+    const ScratchPath path("history-" + std::to_string(seed));
+    const HistoryRun d = incremental_history(seed, path.str());
+    disk.restores += d.restores;
+    disk.file_images += d.file_images;
+    disk.restarts += d.restarts;
+    disk.prev_restarts += d.prev_restarts;
+    disk.failed_writes += d.failed_writes;
+  }
+  EXPECT_GT(memory.restores, 0u);
+  EXPECT_GT(disk.restores, 0u);
+  EXPECT_GT(disk.file_images, 60u);
+  EXPECT_GT(disk.restarts - disk.prev_restarts, 0u);
+  EXPECT_GT(disk.prev_restarts, 0u);
+  EXPECT_GT(disk.failed_writes, 0u);
 }
 
 TEST(CheckpointDelta, BytesRestoreMatchesTheDecodedSnapshot) {
@@ -533,13 +636,16 @@ TEST(CheckpointDelta, BytesRestoreMatchesTheDecodedSnapshot) {
 }
 
 TEST(CheckpointDelta, WriterThreadBuildsTheSameImages) {
-  // Same history twice: inline builds vs the background writer. The
-  // writer must publish byte-identical images at the same watermarks.
-  const auto run = [](bool writer) {
+  // Same history four times: inline builds vs the background writer,
+  // in memory vs merged file to file. All must publish byte-identical
+  // images at the same watermarks.
+  const ScratchPath path("writer");
+  const auto run = [&path](bool writer, bool on_disk) {
     History history(42);
     bm::BlockManager bm;
     history.seed(bm);
-    CheckpointManager mgr(CheckpointConfig{"", 4, 128});
+    CheckpointManager mgr(
+        CheckpointConfig{on_disk ? path.str() : std::string(), 4, 128});
     if (writer) mgr.start_writer(nullptr, nullptr, nullptr);
     std::vector<Bytes> images;
     for (InstanceId k = 0; k < 40; ++k) {
@@ -547,13 +653,20 @@ TEST(CheckpointDelta, WriterThreadBuildsTheSameImages) {
       if ((k + 1) % 4 == 0) {
         EXPECT_TRUE(mgr.capture(bm, k + 1, 0));
         mgr.drain();
-        images.push_back(mgr.image()->bytes);
+        const auto image = mgr.image();
+        EXPECT_EQ(image->bytes.memory() == nullptr, on_disk);
+        images.push_back(image->bytes.load().value());
         EXPECT_EQ(images.back(), bm.snapshot(k + 1).encode());
       }
     }
+    EXPECT_EQ(mgr.stats().incremental, images.size() - 1);
+    EXPECT_EQ(mgr.stats().disk_failures, 0u);
     return images;
   };
-  EXPECT_EQ(run(true), run(false));
+  const std::vector<Bytes> reference = run(false, false);
+  EXPECT_EQ(run(true, false), reference);
+  EXPECT_EQ(run(false, true), reference);
+  EXPECT_EQ(run(true, true), reference);
 }
 
 TEST_F(CheckpointFixture, WriterPersistsThenCompacts) {
@@ -607,6 +720,88 @@ TEST_F(CheckpointFixture, FailedWriteStillAdvancesTheImage) {
   EXPECT_EQ(mgr.watermark(), 6u);
   EXPECT_EQ(mgr.stats().disk_failures, 3u);
   EXPECT_EQ(mgr.latest()->bytes, bm.snapshot(6).encode());
+}
+
+TEST_F(CheckpointFixture, FileBackedImageOutlivesItsRotatedFile) {
+  // A reader holding a file-backed image keeps serving it after two
+  // later checkpoints rotated its file to .prev and then unlinked it:
+  // the image keeps its descriptor open.
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 2, 64});
+  for (InstanceId k = 0; k < 2; ++k) {
+    bm.commit_block(make_block(bm, k));
+    (void)mgr.on_decided(bm, k + 1);
+  }
+  const std::shared_ptr<const CheckpointImage> held = mgr.image();
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held->upto, 2u);
+  ASSERT_EQ(held->bytes.memory(), nullptr) << "served from its file";
+  const Bytes expected = bm.snapshot(2).encode();
+  for (InstanceId k = 2; k < 6; ++k) {
+    bm.commit_block(make_block(bm, k));
+    (void)mgr.on_decided(bm, k + 1);
+  }
+  ASSERT_EQ(mgr.watermark(), 6u);
+  // Neither file holds the held image any more.
+  CheckpointManager latest(CheckpointConfig{ckpt_, 0, 64});
+  EXPECT_EQ(latest.load_disk()->upto, 6u);
+  CheckpointManager prev(CheckpointConfig{ckpt_ + ".prev", 0, 64});
+  EXPECT_EQ(prev.load_disk()->upto, 4u);
+
+  ASSERT_GT(held->chunks(), 2u);
+  EXPECT_EQ(held->root(),
+            CheckpointImage::from_bytes(2, expected, 64).root());
+  for (std::uint32_t i = 0; i < held->chunks(); ++i) {
+    const std::optional<Bytes> chunk = held->chunk(i);
+    ASSERT_TRUE(chunk.has_value()) << "chunk " << i;
+    const BytesView want =
+        chunk_view(BytesView(expected.data(), expected.size()), i, 64);
+    EXPECT_EQ(*chunk, Bytes(want.begin(), want.end())) << "chunk " << i;
+    const crypto::Hash32 leaf =
+        crypto::merkle_leaf(BytesView(chunk->data(), chunk->size()));
+    EXPECT_EQ(leaf, held->tree.leaf(i));
+    EXPECT_TRUE(crypto::MerkleTree::verify(held->root(), i, held->chunks(),
+                                           leaf, held->tree.proof(i)));
+  }
+  EXPECT_EQ(held->bytes, expected);
+}
+
+TEST_F(CheckpointFixture, AlteredBaseFileIsNeverPatched) {
+  // One byte of the published image's file flipped in place: the next
+  // delta build reads it back, finds a chunk that no longer matches the
+  // tree, and publishes nothing; the capture after it exports in full.
+  bm::BlockManager bm;
+  bm.utxos().mint(alice_.address(), 1000);
+  CheckpointManager mgr(CheckpointConfig{ckpt_, 2, 64});
+  for (InstanceId k = 0; k < 4; ++k) {
+    bm.commit_block(make_block(bm, k));
+    (void)mgr.on_decided(bm, k + 1);
+  }
+  ASSERT_EQ(mgr.watermark(), 4u);
+  ASSERT_EQ(mgr.stats().incremental, 1u);
+  ASSERT_EQ(mgr.latest()->bytes.memory(), nullptr);
+  flip_middle_byte(ckpt_);
+
+  bm.commit_block(make_block(bm, 4));
+  bm.commit_block(make_block(bm, 5));
+  EXPECT_FALSE(mgr.on_decided(bm, 6)) << "built from an altered base";
+  EXPECT_EQ(mgr.watermark(), 4u);
+  EXPECT_EQ(mgr.stats().taken, 2u);
+  EXPECT_EQ(mgr.stats().incremental, 1u);
+  EXPECT_EQ(mgr.stats().disk_failures, 0u);
+  EXPECT_FALSE(std::filesystem::exists(ckpt_ + ".tmp"));
+
+  bm.commit_block(make_block(bm, 6));
+  bm.commit_block(make_block(bm, 7));
+  EXPECT_TRUE(mgr.on_decided(bm, 8));
+  EXPECT_EQ(mgr.stats().taken, 3u);
+  EXPECT_EQ(mgr.stats().incremental, 1u) << "a full export, not a patch";
+  EXPECT_EQ(mgr.latest()->bytes, bm.snapshot(8).encode());
+  CheckpointManager reborn(CheckpointConfig{ckpt_, 0, 64});
+  const auto snap = reborn.load_disk();
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->encode(), bm.snapshot(8).encode());
 }
 
 }  // namespace

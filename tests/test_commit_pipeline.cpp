@@ -91,7 +91,7 @@ class GridImages {
     cfg.on_watermark = [this, &bm](InstanceId upto) {
       EXPECT_TRUE(mgr_.capture(bm, upto, 0));
       mgr_.drain();  // no writer: builds here
-      images[upto] = mgr_.image()->bytes;
+      images[upto] = mgr_.image()->bytes.load().value();
     };
   }
 

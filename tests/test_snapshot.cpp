@@ -344,6 +344,65 @@ TEST(SnapshotCodec, BytesRestoreReadsTheWatermarkAndRoundtrips) {
   EXPECT_THROW((void)snapshot_watermark(image.first(15)), DecodeError);
 }
 
+/// A base handed out in blocks of `block` bytes, so records straddle
+/// block boundaries.
+class BlockSource final : public MergeSource {
+ public:
+  BlockSource(const Bytes& bytes, std::size_t block)
+      : rest_(bytes.data(), bytes.size()), block_(block) {}
+  BytesView next() override {
+    const BytesView out = rest_.first(std::min(block_, rest_.size()));
+    rest_ = rest_.subspan(out.size());
+    return out;
+  }
+
+ private:
+  BytesView rest_;
+  std::size_t block_;
+};
+
+TEST(SnapshotDelta, StreamingMergeMatchesEncodeAndMeetsItsCounts) {
+  bm::BlockManager bm = populated_bm();
+  bm.track_changes();
+  bm.reset_changes(3);
+  const Bytes base = bm.snapshot(3).encode();
+  // Spend and create outputs, commit a transaction, mint.
+  chain::Wallet alice(to_bytes("alice"));
+  chain::Wallet bob(to_bytes("bob"));
+  chain::Block block;
+  block.index = 3;
+  block.txs.push_back(*alice.pay(bm.utxos(), bob.address(), 100));
+  bm.commit_block(block);
+  (void)bm.utxos().mint(bob.address(), 5);
+  const SnapshotDelta delta = bm.take_delta(4);
+  const Bytes want = bm.snapshot(4).encode();
+  EXPECT_EQ(delta.image_size(), want.size());
+  for (const std::size_t size : {1u, 7u, 64u, 1u << 20}) {
+    BlockSource source(base, size);
+    EXPECT_EQ(delta.apply_to(source), want) << "block " << size;
+  }
+
+  // A capture's counts the merge cannot meet, a short base, a base
+  // with trailing bytes: no image.
+  const auto rejects = [](const SnapshotDelta& d, const Bytes& b) {
+    EXPECT_THROW((void)d.apply_to(BytesView(b.data(), b.size())),
+                 DecodeError);
+  };
+  SnapshotDelta bad = delta;
+  ++bad.counts.utxos;
+  rejects(bad, base);
+  bad = delta;
+  --bad.counts.ever_values;
+  rejects(bad, base);
+  bad = delta;
+  ++bad.counts.known_txs;
+  rejects(bad, base);
+  rejects(delta, Bytes(base.begin(), base.end() - 1));
+  Bytes padded = base;
+  padded.push_back(0);
+  rejects(delta, padded);
+}
+
 TEST(Chunking, ViewsReassembleAndCountMatches) {
   Bytes data(1000);
   for (std::size_t i = 0; i < data.size(); ++i) {

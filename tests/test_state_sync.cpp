@@ -42,8 +42,7 @@ struct FetchHarness {
     SnapshotChunk c;
     c.upto = image.upto;
     c.index = i;
-    const auto v = image.chunk(i);
-    c.data.assign(v.begin(), v.end());
+    c.data = image.chunk(i).value();
     c.proof = image.tree.proof(i);
     return c;
   }
@@ -184,13 +183,22 @@ TEST(SnapshotFetcher, SwitchesSourceAfterStallingOut) {
 
 // ---------------------------------------------------------------------
 // Live-TCP acceptance: a fresh LiveNode joins a 4-node loopback cluster
-// with >= 200 decided instances and catches up via checkpoint transfer.
+// with >= 200 decided instances and catches up via checkpoint transfer,
+// served from memory or, with checkpoint paths, read from the image
+// files.
 namespace zlb::net {
 namespace {
 
 using namespace std::chrono_literals;
 
-TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
+void late_joiner_catches_up(bool on_disk) {
+  SCOPED_TRACE(on_disk ? "images served from their files"
+                       : "images served from memory");
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zlb-state-sync-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  if (on_disk) std::filesystem::create_directories(dir);
   constexpr std::size_t kVeterans = 4;
   constexpr InstanceId kInstances = 210;
   constexpr std::uint64_t kInterval = 50;
@@ -219,6 +227,10 @@ TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
   for (ReplicaId i = 0; i < 5; ++i) {
     LiveNodeConfig cfg = base;
     cfg.me = i;
+    if (on_disk) {
+      cfg.checkpoint.path =
+          (dir / ("node" + std::to_string(i) + ".ckpt")).string();
+    }
     nodes.push_back(std::make_unique<LiveNode>(cfg));
     ports[i] = nodes.back()->port();
   }
@@ -321,6 +333,19 @@ TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
                   .value();
   }
   EXPECT_GT(served, 0u);
+  // Where the served images lived.
+  for (const auto& node : nodes) {
+    const auto image = node->checkpoints()->image();
+    ASSERT_NE(image, nullptr);
+    EXPECT_EQ(image->bytes.memory() == nullptr, on_disk);
+  }
+  nodes.clear();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StateSyncLive, LateJoinerCatchesUpViaCheckpointNotGenesisReplay) {
+  late_joiner_catches_up(/*on_disk=*/false);
+  late_joiner_catches_up(/*on_disk=*/true);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 Mirrors tools/lint/test_zlb_lint.py, covering how a semantic analyzer
 rots:
   1. Each known-bad fixture must FAIL with exactly its checker — a
-     checker that stops firing is a silent hole in CI.
+     checker that stops firing is a silent hole in CI. Each known-good
+     fixture must PASS — a resolution gap that starts false-positing
+     on it would do the same on src/.
   2. The real src/ tree must PASS with the checked-in allowlist and
      golden schema — a checker that starts false-positing would get
      the analyzer deleted.
@@ -43,7 +45,11 @@ FIXTURES = {
     "blocking_inline": "lock-blocking",
     "blocking_commit_path": "lock-blocking",
     "blocking_stream": "lock-blocking",
+    "blocking_pread": "lock-blocking",
 }
+
+# Known-good: lock-held code the analyzer must resolve precisely.
+CLEAN_FIXTURES = ["typed_receivers"]
 
 ALL_CHECKERS = sorted(set(FIXTURES.values()))
 
@@ -77,6 +83,16 @@ def main() -> int:
             failures += 1
             print(f"FAIL fixture {fixture}: unrelated checker(s) fired: "
                   f"{', '.join(other)}")
+
+    for fixture in CLEAN_FIXTURES:
+        root = HERE / "fixtures" / fixture
+        proc = run_analyze("--root", str(root), "--frontend", "python")
+        if proc.returncode == 0:
+            print(f"ok   fixture {fixture}: clean")
+        else:
+            failures += 1
+            print(f"FAIL fixture {fixture}: expected exit 0, got exit "
+                  f"{proc.returncode}\n{proc.stdout}{proc.stderr}")
 
     # 2. src/ clean with allowlist + golden (exactly the CI invocation).
     proc = run_analyze("--root", str(REPO / "src"),

@@ -147,6 +147,25 @@ def match_forward(toks: list[Tok], i: int, open_ch: str, close_ch: str) -> int:
     return len(toks)
 
 
+def match_backward(toks: list[Tok], i: int, open_ch: str,
+                   close_ch: str) -> int:
+    """Index of the token opening the group closed at i, or -1 when i
+    is not close_ch or the group is unbalanced."""
+    depth = 0
+    while i >= 0:
+        t = toks[i].text
+        if t == close_ch:
+            depth += 1
+        elif t == open_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+        elif depth == 0:
+            return -1
+        i -= 1
+    return -1
+
+
 def skip_template_args_back(toks: list[Tok], i: int) -> int:
     """Given i at a '>' closing a template argument list, return the index
     of the matching '<' - 1. Best effort (no shift operators appear in
@@ -306,8 +325,10 @@ class PyFrontend:
                 # Possibly preceded by CAPABILITY(...) etc — irrelevant.
                 name_idx = i + 1
                 # skip annotation macros used as the "name" slot:
-                # `class CAPABILITY("mutex") Mutex`.
-                if toks[name_idx].text in ANNOTATION_MACROS:
+                # `class CAPABILITY("mutex") Mutex`, and alignment:
+                # `struct alignas(64) Shard`.
+                if toks[name_idx].text in ANNOTATION_MACROS or \
+                        toks[name_idx].text == "alignas":
                     j = name_idx + 1
                     if j < end and toks[j].text == "(":
                         j = match_forward(toks, j, "(", ")")
@@ -447,11 +468,18 @@ class PyFrontend:
             return
         if "(" in txts:
             return  # method decl handled elsewhere
-        # name = last id before '=' or '{' or end
+        # name = last id before '=' or '{', an array declarator's '[',
+        # or the end
         stop = len(seg)
+        array = False
         for k, t in enumerate(seg):
             if t.text in ("=", "{"):
                 stop = k
+                break
+            if t.text == "[" and k > 0 and seg[k - 1].kind == "id" and \
+                    not (k + 1 < len(seg) and seg[k + 1].text == "["):
+                stop = k
+                array = True
                 break
         name = None
         for t in reversed(seg[:stop]):
@@ -474,6 +502,8 @@ class PyFrontend:
                             if x not in ("static", "mutable", "inline"))
         if not type_str:
             return
+        if array:  # `T name[N]`: element_type() reads T back
+            type_str += " [ ]"
         if any(t.text in ANNOTATION_MACROS for t in seg):
             # strip GUARDED_BY(...) etc from the type
             type_str = re.sub(
@@ -665,13 +695,20 @@ def iter_calls(body: list[Tok]) -> list[Call]:
         while j - 1 >= 0 and body[j].text == "::" and body[j - 1].kind == "id":
             path.insert(0, body[j - 1].text)
             j -= 2
-        # receiver chain backwards over . / ->
+        # receiver chain backwards over . / -> (a subscript `x[i].f()`
+        # reads as ["x", "[]"]: an element of x)
         recv: list[str] = []
         k = i - 1 - (2 * (len(path) - 1)) - 1
-        while k - 1 >= 0 and body[k].text in (".", "->") \
-                and body[k - 1].kind == "id":
-            recv.insert(0, body[k - 1].text)
-            k -= 2
+        while k - 1 >= 0 and body[k].text in (".", "->"):
+            if body[k - 1].kind == "id":
+                recv.insert(0, body[k - 1].text)
+                k -= 2
+                continue
+            opened = match_backward(body, k - 1, "[", "]")
+            if opened < 1 or body[opened - 1].kind != "id":
+                break
+            recv[0:0] = [body[opened - 1].text, "[]"]
+            k = opened - 2
         close = match_forward(body, i, "(", ")")
         if close >= len(body):
             continue
@@ -715,11 +752,15 @@ def base_type(type_str: str) -> str:
 
 
 def element_type(type_str: str) -> str | None:
-    """vector<X>/array<X,N>/optional<X>/map<K,V>(V) element type name."""
+    """vector<X>/array<X,N>/optional<X>/map<K,V>(V)/X[] element type
+    name."""
     # The Python frontend joins type tokens with spaces
     # ('std :: unique_ptr < sync :: X >'); a qualified name must read
     # as one identifier path or it resolves to its namespace.
     type_str = re.sub(r"\s*::\s*", "::", type_str)
+    m = re.fullmatch(r"(.*?)\s*\[\s*\]", type_str)  # T[]
+    if m:
+        return base_type(m.group(1)) or None
     m = re.search(r"(?:vector|set|deque|optional|unique_ptr|shared_ptr)\s*<\s*"
                   r"([A-Za-z_][\w:]*)", type_str)
     if m:
@@ -898,7 +939,8 @@ BLOCKING_LEAVES = {
     "fopen", "fclose", "fread", "fwrite", "fflush", "fsync", "fdatasync",
     "sleep_for", "sleep_until", "poll", "connect", "accept", "recv", "send",
     "sendto", "recvfrom", "read", "write", "rename", "remove", "getline",
-    "open", "close", "fputs", "fgets", "unlink", "flush",
+    "open", "close", "fputs", "fgets", "unlink", "flush", "pread", "pwrite",
+    "lseek", "fstat",
 }
 # File stream types: constructing one opens a file (and its destructor
 # flushes and closes it), so the construction is itself a blocking call.
@@ -940,7 +982,36 @@ class Analyzer:
             if prm.name:
                 scope[prm.name] = prm.type
         scope.update(local_decls(fn.body))
+        self._add_range_for_types(fn, scope)
         return scope
+
+    def _add_range_for_types(self, fn: Func, scope: dict[str, str]) -> None:
+        """Types range-for loop variables in `scope`: the declared type,
+        or for `auto` the range's element type. A name the scope already
+        types keeps its type; one that loops bind to different types, or
+        that a loop cannot type, stays untyped, so calls on it keep
+        resolving to every candidate."""
+        loop_types: dict[str, str | None] = {}
+        for decl, expr, _body, _hdr in range_for_loops(fn.body):
+            ids = [k for k, t in enumerate(decl) if t.kind == "id"]
+            if not ids or any(t.text == "[" for t in decl):
+                continue  # structured bindings stay untyped
+            var = decl[ids[-1]].text
+            if var in scope and var not in loop_types:
+                continue
+            type_toks = [t.text for t in decl[:ids[-1]]
+                         if t.text not in ("&", "*", "&&")]
+            if "auto" in type_toks:
+                tstr = self._expr_elem_type(expr, fn, scope)
+            else:
+                tstr = " ".join(type_toks) or None
+            if var in loop_types and loop_types[var] != tstr:
+                tstr = None
+            loop_types[var] = tstr
+            if tstr:
+                scope[var] = tstr
+            else:
+                scope.pop(var, None)
 
     def resolve_chain_type(self, chain: list[str], fn: Func,
                            scope: dict[str, str]) -> str | None:
@@ -950,23 +1021,28 @@ class Analyzer:
         cur: str | None = None
         first = chain[0]
         if first == "this":
-            cur = fn.cls
+            cur = tstr = fn.cls
             rest = chain[1:]
         elif first in scope:
-            cur = base_type(scope[first])
+            tstr = scope[first]
+            cur = base_type(tstr)
             rest = chain[1:]
         elif first in self.p.records:
-            cur = first
+            cur = tstr = first
             rest = chain[1:]
         else:
             return None
         for part in rest:
             if cur is None:
                 return None
+            if part == "[]":  # an element of the container so far
+                cur = tstr = element_type(tstr or "")
+                continue
             rec = self.p.records.get(cur)
             if rec is None or part not in rec.fields:
                 return None
-            cur = base_type(rec.fields[part].type)
+            tstr = rec.fields[part].type
+            cur = base_type(tstr)
         return cur
 
     def resolve_call_targets(self, call: Call, fn: Func,
